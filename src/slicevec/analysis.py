@@ -113,16 +113,6 @@ def transpose_piece(slices: Iterable[Slice], semitones: int) -> list[Slice]:
     return [s.transpose(semitones) for s in slices]
 
 
-@dataclass(frozen=True)
-class KeyCentroid:
-    """Mean vector of a piece version's in-vocabulary slices."""
-
-    key_root: int
-    mode: str
-    centroid: np.ndarray
-    n_slices_used: int
-
-
 def piece_centroid(space: EmbeddingSpace, slices: Sequence[Slice]) -> tuple[np.ndarray | None, int]:
     """Mean of the in-vocabulary slice vectors; (None, 0) if none are."""
     rows = [space.id_of(s.form) for s in slices if s.form in space]

@@ -180,7 +180,14 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    emb, trace = train(corpus, vocab, tconfig, threads=cfg.threads)
+    try:
+        emb, trace = train(corpus, vocab, tconfig, threads=cfg.threads)
+    except NumericalAbortError:
+        raise
+    except ValueError as exc:
+        raise DataError(str(exc)) from None
+    except RuntimeError as exc:  # --threads > 1 without the numba backend
+        raise ConfigError(str(exc)) from None
     space = EmbeddingSpace.from_training(vocab, emb)
     save_embedding(cfg.embedding_path, space)
     trace.save_csv(cfg.loss_csv)

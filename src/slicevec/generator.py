@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .embedding import EmbeddingSpace, nearest
-from .midi import BeatGrid, NoteEvent, sounding_pitches, write_smf
-from .slicer import REST_FORM, Slice, make_slice
+from .midi import BeatGrid, MidiPiece, NoteEvent, write_smf
+from .slicer import REST_FORM, Slice, slices_from_piece
 
 RENDER_BASE_PITCH = 60  # substituted beats render in octave 4
 RENDER_VELOCITY = 80
@@ -159,10 +159,8 @@ def emit_midi(
             f"{len(substitutes)} substitutes for a {n_beats}-beat piece"
         )
     tpb = grid.ticks_per_beat
-    changed = [
-        substitutes[b].form != make_slice(sounding_pitches(events, grid, b)).form
-        for b in range(n_beats)
-    ]
+    originals = slices_from_piece(MidiPiece(events, grid))
+    changed = [sub != orig for sub, orig in zip(substitutes, originals)]
     out_events: list[NoteEvent] = []
     for e in events:
         first = e.onset_ticks // tpb

@@ -253,5 +253,6 @@ def load_vocabulary(path: str) -> Vocabulary:
                 unk_count = count
             else:
                 ranked.append((Slice.from_form(form), count))
-    assert unk_count is not None
+    if unk_count is None:
+        raise ValueError(f"{path}: vocabulary has no {UNK_FORM} entry")
     return Vocabulary(ranked, unk_count)

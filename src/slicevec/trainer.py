@@ -238,38 +238,24 @@ def sgd_step(
     context token. All gradients are taken at the pre-step matrices (so the
     update is learning_rate times the gradient of the mean pair loss); the
     update is then applied, input rows first, then output rows, in pair
-    order. emb is mutated in place.
+    order. emb is mutated in place, and left as it was when a pair loss is
+    non-finite (NumericalAbortError).
     """
     if not batch:
         raise ValueError("batch must be non-empty")
+    if len(noise.cdf) < 2:
+        raise ValueError("noise distribution needs at least 2 tokens")
     centers = np.array([c for c, _ in batch], dtype=np.int32)
     ctxs = np.array([t for _, t in batch], dtype=np.int32)
-    n = len(batch)
-    n_neg = config.negative_samples
-    negs = np.empty((n, n_neg), dtype=np.int32)
-    for p in range(n):
-        exclude = int(ctxs[p])
-        for j in range(n_neg):
-            negs[p, j] = neg_sample(noise, rng, exclude)
-    inp, out = emb.input_vectors, emb.output_vectors
-    cen0 = inp[centers]
-    ctx0 = out[ctxs]
-    neg0 = out[negs]
-    dot_pos = np.einsum("bd,bd->b", cen0, ctx0)
-    dot_neg = np.einsum("bd,bjd->bj", cen0, neg0)
-    losses = np.logaddexp(0.0, -dot_pos) + np.logaddexp(0.0, dot_neg).sum(axis=1)
-    if not np.isfinite(losses).all():
-        raise NumericalAbortError(-1, int(np.flatnonzero(~np.isfinite(losses))[0]))
-    g_pos = _kernels._sigmoid_np(dot_pos) - 1.0
-    g_neg = _kernels._sigmoid_np(dot_neg)
-    scale = config.learning_rate / n
-    grad_cen = g_pos[:, None] * ctx0 + np.einsum("bj,bjd->bd", g_neg, neg0)
-    np.add.at(inp, centers, -scale * grad_cen)
-    coef = np.concatenate([g_pos[:, None], g_neg], axis=1)
-    rows = np.concatenate([ctxs[:, None], negs], axis=1)
-    grad_out = coef[:, :, None] * cen0[:, None, :]
-    np.add.at(out, rows.reshape(-1), (-scale * grad_out).reshape(-1, inp.shape[1]))
-    return float(losses.sum()) / n
+    negs = np.empty((len(batch), config.negative_samples), dtype=np.int32)
+    losses = next(_kernels._sgd_batch_numpy(
+        emb.input_vectors, emb.output_vectors, noise.cdf, rng,
+        centers, ctxs, negs, config.learning_rate,
+    ))
+    bad = np.flatnonzero(~np.isfinite(losses))
+    if len(bad):
+        raise NumericalAbortError(-1, int(bad[0]))
+    return float(losses.sum()) / len(batch)
 
 
 def _validate_corpus(corpus: EncodedCorpus, vocab: Vocabulary) -> None:

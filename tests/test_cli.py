@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from slicevec import _kernels
 from slicevec.analysis import CIRCLE_OF_FIFTHS, SimilarityMatrix
 from slicevec.cli import main
 from slicevec.midi import parse_midi
@@ -162,3 +163,31 @@ def test_numerical_abort_exits_3(capsys):
                "--batch-size", "4", "--learning-rate", "1e200"])
     assert rc == 3
     assert "numerical abort" in capsys.readouterr().err
+
+
+_VOCAB = "SLICEVOCAB v1 3\n0 UNK 0\n1 0.4.7 3\n2 2.7.11 2\n"
+_CORPUS = "SLICECORPUS v1 2\n0.4.7 2.7.11 0.4.7\n2.7.11 0.4.7\n"
+
+
+@pytest.mark.parametrize(
+    "corpus, vocab, flags, code, prefix",
+    [
+        (_CORPUS, _VOCAB, ["--threads", "2"], 1, "config error:"),
+        (_CORPUS, "SLICEVOCAB v1 0\n", [], 2, "data error:"),
+        ("SLICECORPUS v1 2\n0.4.7\n2.7.11\n", _VOCAB, [], 2, "data error:"),
+    ],
+    ids=["threads-without-numba", "vocab-without-unk", "no-trainable-piece"],
+)
+def test_train_rejects_bad_inputs_in_one_line(
+    monkeypatch, capsys, corpus, vocab, flags, code, prefix
+):
+    # parallel training is refused on the numpy backend, even where numba imports
+    monkeypatch.setattr(_kernels, "BACKEND", "numpy")
+    with open("corpus.txt", "w") as fh:
+        fh.write(corpus)
+    with open("vocab.txt", "w") as fh:
+        fh.write(vocab)
+    rc = main(["train", "--dims", "4", "--steps", "5", "--batch-size", "4", *flags])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith(prefix) and err.count("\n") == 1

@@ -13,7 +13,15 @@ import pytest
 from slicevec import _kernels
 from slicevec.rng import Rng
 from slicevec.slicer import EncodedCorpus, Vocabulary, Slice
-from slicevec.trainer import NoiseDistribution, TrainingConfig, train
+from slicevec.trainer import (
+    BatchCursor,
+    EmbeddingMatrix,
+    NoiseDistribution,
+    TrainingConfig,
+    generate_batch,
+    sgd_step,
+    train,
+)
 
 needs_numba = pytest.mark.skipif(
     _kernels.BACKEND != "numba", reason="numba backend not active"
@@ -126,6 +134,39 @@ def test_negative_draw_twins_agree_exactly():
         assert int(state[0]) == rng.state
 
 
+def _draw_by_linear_scan(cdf, rng, exclude):
+    while True:
+        u = rng.next_float()
+        i = next(i for i in range(len(cdf)) if u < cdf[i])
+        if i != exclude:
+            return i
+
+
+def test_negative_draw_matches_linear_scan():
+    rnd = random.Random(37)
+    cdfs = [
+        NoiseDistribution.from_counts(
+            np.array([rnd.randrange(0, 60) for _ in range(rnd.randrange(2, 40))])
+        ).cdf
+        for _ in range(12)
+    ]
+    # rounding can lift the second-to-last entry above the forced final 1.0;
+    # a repeated entry is a zero-probability token
+    cdfs += [
+        np.array([0.25, 0.5, 1.0 + 2.0**-52, 1.0]),
+        np.array([0.5, 1.0 + 2.0**-52, 1.0]),
+        np.array([0.3, 0.3, 0.7, 1.0 + 2.0**-52, 1.0]),
+    ]
+    for cdf in cdfs:
+        seed = rnd.randrange(1 << 40)
+        rng, oracle_rng = Rng(seed), Rng(seed)
+        for i in range(400):
+            exclude = i % 2
+            a = _kernels._draw_negative_py(cdf, rng, exclude)
+            assert a == _draw_by_linear_scan(cdf, oracle_rng, exclude)
+        assert rng.state == oracle_rng.state
+
+
 def _window_setup(rnd, dims=8, vocab=12):
     tokens, starts, ends, _ = random_layout(rnd, min_len=3, max_len=20, max_pieces=3)
     tokens = (tokens % (vocab - 1) + 1).astype(np.int32)  # keep 0 for UNK
@@ -169,6 +210,37 @@ def _tiny_training_setup():
     ranked = [(Slice((pc,)), 6 - pc) for pc in range(5)]
     vocab = Vocabulary(ranked, unk_count=2)
     return corpus, vocab
+
+
+def test_batch_api_reproduces_numpy_window_bitwise():
+    corpus, vocab = _tiny_training_setup()
+    config = TrainingConfig(
+        dims=8, window_c=4, num_skips_k=2, negative_samples=3,
+        learning_rate=0.2, batch_size=16, steps=20, seed=5,
+    )
+    rng = Rng(config.seed)
+    emb = EmbeddingMatrix.initialize(vocab.size, config.dims, rng)
+    cursor = BatchCursor.start(corpus, config, rng)
+    noise = NoiseDistribution.from_vocabulary(vocab)
+    inp, out = emb.input_vectors.copy(), emb.output_vectors.copy()
+    state, position, pend = cursor.state.copy(), cursor.position.copy(), cursor.pend.copy()
+    loss_sum, status, _, _ = _kernels._run_window_numpy(
+        cursor.tokens, cursor.starts, cursor.ends, inp, out, noise.cdf, state, position,
+        pend, config.steps, config.batch_size, config.window_c // 2, config.num_skips_k,
+        config.negative_samples, config.learning_rate, 0,
+    )
+    assert status == 0
+    total = 0.0
+    for _ in range(config.steps):
+        batch = generate_batch(corpus, config, cursor)
+        step_rng = Rng.from_state(int(cursor.state[0]))
+        total += sgd_step(emb, batch, config, noise, step_rng)
+        cursor.state[0] = step_rng.state
+    assert total == loss_sum
+    assert np.array_equal(emb.input_vectors, inp)
+    assert np.array_equal(emb.output_vectors, out)
+    assert cursor.state[0] == state[0]
+    assert np.array_equal(cursor.position, position)
 
 
 @needs_numba

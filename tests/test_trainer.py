@@ -192,6 +192,21 @@ def test_sgd_step_rejects_empty_batch():
         sgd_step(emb, [], TrainingConfig(dims=3), noise, Rng(1))
 
 
+def test_sgd_step_abort_leaves_matrices_unchanged():
+    inp = np.full((4, 3), 0.1)
+    inp[3] = 1e200  # pair 1's center overflows every dot product
+    out = np.full((4, 3), 1e200)
+    emb = EmbeddingMatrix(inp.copy(), out.copy())
+    config = TrainingConfig(dims=3, negative_samples=2, learning_rate=0.1)
+    noise = NoiseDistribution.from_counts(np.ones(4, dtype=np.int64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalAbortError) as excinfo:
+            sgd_step(emb, [(1, 2), (3, 1), (2, 0)], config, noise, Rng(4))
+    assert (excinfo.value.step, excinfo.value.pair) == (-1, 1)
+    assert np.array_equal(emb.input_vectors, inp)
+    assert np.array_equal(emb.output_vectors, out)
+
+
 def test_noise_distribution_power_and_floor():
     counts = np.array([0, 10, 5, 1], dtype=np.int64)
     noise = NoiseDistribution.from_counts(counts)
