@@ -21,17 +21,22 @@ pending count, pending center token) and ``pend`` is an int32 scratch
 buffer of up to window_c context tokens for the current center. The
 integer-stream helpers here must stay in lockstep with the Rng class in
 rng.py; the parity tests pin them together.
+
+The numba loops step the stream one value at a time, as Rng does. The
+numpy loop reads it in blocks through rng.BlockRng and works on a whole
+batch per call: every center's Fisher-Yates draws at once, and every
+negative draw at once, repaired after each rejection. Rng stays the
+reference; both numpy helpers also accept a plain Rng.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 
 import numpy as np
 
-from .rng import Rng
+from .rng import BlockRng, Rng, to_floats
 
 _ENV_VAR = "SLICEVEC_BACKEND"
 _choice = os.environ.get(_ENV_VAR, "auto").lower()
@@ -54,10 +59,11 @@ BACKEND = "numba" if HAVE_NUMBA else "numpy"
 # pure-python / numpy backend
 
 _INV53 = 2.0 ** -53
+_SCATTER_ELEMENTS = 1 << 14  # matrix elements per 1-D scatter call
 
 
 def _gen_pairs_py(
-    tokens, starts, ends, rng: Rng, cursor, pend, centers, ctxs, half_window, num_skips
+    tokens, starts, ends, rng: Rng | BlockRng, cursor, pend, centers, ctxs, half_window, num_skips
 ) -> None:
     """Fill centers/ctxs with the next len(centers) skip-gram pairs.
 
@@ -65,71 +71,137 @@ def _gen_pairs_py(
     drawn without replacement by a partial Fisher-Yates shuffle over the
     in-window positions (piece boundaries truncate the window). Pairs are
     handed out one per call slot; a center's leftovers wait in pend.
+
+    Every piece needs at least 2 tokens, so each center yields a pair and
+    the centers a call needs are known before any value is drawn. rng is an
+    Rng or a BlockRng; the draws are those of the one-center-at-a-time walk
+    (numba twin: _gen_pairs_nb), made for all of the call's centers at once.
     """
-    n_pieces = len(starts)
-    piece = int(cursor[0])
-    pos = int(cursor[1])
-    pi = int(cursor[2])
-    pn = int(cursor[3])
-    pcen = int(cursor[4])
-    avail = [0] * (2 * half_window)
-    for b in range(len(centers)):
-        while pi >= pn:
-            start = int(starts[piece])
-            length = int(ends[piece]) - start
-            lo = pos - half_window
-            if lo < 0:
-                lo = 0
-            hi = pos + half_window
-            if hi > length - 1:
-                hi = length - 1
-            m = 0
-            for q in range(lo, hi + 1):
-                if q != pos:
-                    avail[m] = q
-                    m += 1
-            kk = num_skips if num_skips < m else m
-            for i in range(kk):
-                j = i + rng.below(m - i)
-                avail[i], avail[j] = avail[j], avail[i]
-                pend[i] = tokens[start + avail[i]]
-            pcen = int(tokens[start + pos])
-            pi = 0
-            pn = kk
-            pos += 1
-            if pos >= length:
-                pos = 0
-                piece += 1
-                if piece >= n_pieces:
-                    piece = 0
-        centers[b] = pcen
-        ctxs[b] = int(pend[pi])
-        pi += 1
+    piece, pos, pi, pn, pcen = cursor.tolist()
+    size = len(centers)
+    old = min(pn - pi, size) if pn > pi else 0
+    centers[:old] = pcen
+    ctxs[:old] = pend[pi : pi + old]
+    need = size - old
+    if need == 0:
+        cursor[2] = pi + old
+        return
+    # centers in corpus order, as positions in the concatenated pieces
+    lengths = np.asarray(ends, dtype=np.int64) - starts
+    if lengths.min() < 2:
+        raise ValueError("every piece needs at least 2 tokens")
+    offsets = np.cumsum(lengths) - lengths
+    flat = (offsets[piece] + pos + np.arange(need)) % (offsets[-1] + lengths[-1])
+    pc = np.searchsorted(offsets, flat, side="right") - 1
+    p = flat - offsets[pc]
+    lo = np.maximum(p - half_window, 0)
+    m = np.minimum(p + half_window, lengths[pc] - 1) - lo  # window positions
+    kk = np.minimum(m, num_skips)
+    n_c = int(np.searchsorted(np.cumsum(kk), need)) + 1
+    pc, p, lo, m, kk = pc[:n_c], p[:n_c], lo[:n_c], m[:n_c], kk[:n_c]
+    # pick i of a center swaps in position i + below(m - i); below(1) draws nothing
+    step = np.arange(num_skips)
+    picked = step < kk[:, None]
+    bounds = np.where(picked, m[:, None] - step, 1)
+    drawn = BlockRng.over(rng).below(bounds.reshape(-1)).astype(np.int64)
+    swap = step + drawn.reshape(bounds.shape)
+    avail = lo[:, None] + np.arange(2 * half_window)
+    avail += avail >= p[:, None]  # the center is not in its own window
+    rows = np.arange(n_c)
+    picks = np.empty_like(swap)
+    for i in range(num_skips):  # column i is not read again after pick i
+        picks[:, i] = avail[rows, swap[:, i]]
+        avail[rows, swap[:, i]] = avail[:, i]
+    base = np.asarray(starts, dtype=np.int64)[pc]
+    pair_ctx = tokens[(base[:, None] + picks)[picked]]
+    pair_cen = np.repeat(tokens[base + p], kk)
+    centers[old:] = pair_cen[:need]
+    ctxs[old:] = pair_ctx[:need]
+    last = int(kk[-1])
+    pend[:last] = pair_ctx[len(pair_ctx) - last :]
+    pos = int(p[-1]) + 1
+    piece = int(pc[-1])
+    if pos >= lengths[piece]:
+        pos = 0
+        piece = (piece + 1) % len(lengths)
     cursor[0] = piece
     cursor[1] = pos
-    cursor[2] = pi
-    cursor[3] = pn
-    cursor[4] = pcen
+    cursor[2] = last - (len(pair_ctx) - need)
+    cursor[3] = last
+    cursor[4] = pair_cen[-1]
 
 
-def _draw_negative_py(cdf, rng: Rng, exclude: int) -> int:
-    """One noise-distribution draw, resampling while equal to exclude.
+def _draw_negatives_py(cdf, rng: Rng | BlockRng, excludes, n_neg):
+    """Noise draws for len(excludes) rows of n_neg; row p resamples while excludes[p].
 
-    The draw inverts the cumulative distribution: smallest i with u < cdf[i].
+    Each draw inverts the cumulative distribution: smallest i with u < cdf[i].
     Every u is below cdf[-1] == 1.0, so that predicate is monotone in i even
-    where rounding lifts cdf[-2] above 1.0, and bisect_right finds it.
+    where rounding lifts cdf[-2] above 1.0, and a right-sided binary search
+    finds it. Slots take draws in row order, and a rejected draw moves every
+    later slot one draw on; so the slots are checked against the draws once,
+    and again from each rejection onward. rng is an Rng or a BlockRng, and
+    consumes exactly the draws used (numba twin: _draw_negative_nb, one slot
+    at a time).
     """
+    stream = BlockRng.over(rng)
+    excl = np.repeat(np.asarray(excludes, dtype=np.int64), n_neg)
+    slots = len(excl)
+    out = np.empty(slots, dtype=np.int64)
+    ahead = slots >> 4  # draws looked at past one per slot, for rejections
+    idx = np.searchsorted(cdf, to_floats(stream.peek(slots + ahead)), side="right")
+    at = shift = 0  # slots before at are filled; slot s >= at takes draw s + shift
     while True:
-        i = bisect.bisect_right(cdf, rng.next_float())
-        if i != exclude:
-            return i
+        hit = idx[at + shift : slots + shift] == excl[at:]
+        k = int(hit.argmax())
+        if not hit[k]:
+            break
+        out[at : at + k] = idx[at + shift : at + shift + k]
+        at += k
+        shift += 1
+        while True:  # the slot also rejects any excluded draws that follow
+            if len(idx) < slots + shift:
+                ahead = 2 * ahead + 1
+                idx = np.searchsorted(
+                    cdf, to_floats(stream.peek(slots + shift + ahead)), side="right"
+                )
+            if idx[at + shift] != excl[at]:
+                break
+            shift += 1
+    out[at:] = idx[at + shift : slots + shift]
+    stream.skip(slots + shift)
+    return out.reshape(-1, n_neg)
+
+
+def _draw_negative_py(cdf, rng: Rng | BlockRng, exclude: int) -> int:
+    """One noise draw, resampling while equal to exclude."""
+    return int(_draw_negatives_py(cdf, rng, (exclude,), 1)[0, 0])
 
 
 def _sigmoid_np(x):
     return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
-def _sgd_batch_numpy(inp, out, cdf, rng: Rng, centers, ctxs, negs, lr):
+def _add_rows_at(mat, rows, vals) -> None:
+    """np.add.at(mat, rows, vals) for whole rows, as 1-D ufunc.at calls.
+
+    Each element gets the same additions in the same order as in the 2-D
+    call, so the result is the same bit for bit; numpy 2.4's 1-D path is
+    about 3.5x faster for 768 rows at dims 64 and 256. Rows go in order, in
+    runs of at most _SCATTER_ELEMENTS elements, so the flat index stays small.
+    """
+    if not mat.flags.c_contiguous:
+        np.add.at(mat, rows, vals)
+        return
+    dims = mat.shape[1]
+    flat = mat.reshape(-1)
+    cols = np.arange(dims)
+    step = max(1, _SCATTER_ELEMENTS // dims)
+    for a in range(0, len(rows), step):
+        idx = np.multiply(rows[a : a + step], dims, dtype=np.intp)[:, None] + cols
+        np.add.at(flat, idx.reshape(-1), vals[a : a + step].reshape(-1))
+
+
+def _sgd_batch_numpy(inp, out, cdf, rng: Rng | BlockRng, centers, ctxs, negs, lr):
     """Generator of SGD batch steps; each next() yields one step's pair losses.
 
     A step works on the pairs that centers and ctxs hold when next() is
@@ -148,26 +220,26 @@ def _sgd_batch_numpy(inp, out, cdf, rng: Rng, centers, ctxs, negs, lr):
     """
     batch_size, n_neg = negs.shape
     while True:
-        for p in range(batch_size):
-            exclude = int(ctxs[p])
-            for j in range(n_neg):
-                negs[p, j] = _draw_negative_py(cdf, rng, exclude)
+        negs[:] = _draw_negatives_py(cdf, rng, ctxs, n_neg)
         cen0 = inp[centers]
         ctx0 = out[ctxs]
         neg0 = out[negs]
-        dot_pos = np.einsum("bd,bd->b", cen0, ctx0)
-        dot_neg = np.einsum("bd,bjd->bj", cen0, neg0)
-        losses = np.logaddexp(0.0, -dot_pos) + np.logaddexp(0.0, dot_neg).sum(axis=1)
-        if np.isfinite(losses).all():
-            g_pos = _sigmoid_np(dot_pos) - 1.0
-            g_neg = _sigmoid_np(dot_neg)
-            scale = lr / batch_size  # one SGD step on the batch's mean pair loss
-            grad_cen = g_pos[:, None] * ctx0 + np.einsum("bj,bjd->bd", g_neg, neg0)
-            np.add.at(inp, centers, -scale * grad_cen)
-            coef = np.concatenate([g_pos[:, None], g_neg], axis=1)
-            rows = np.concatenate([ctxs[:, None], negs], axis=1)
-            grad_out = coef[:, :, None] * cen0[:, None, :]
-            np.add.at(out, rows.reshape(-1), (-scale * grad_out).reshape(-1, inp.shape[1]))
+        # a diverging run is reported by the caller from the losses, so the
+        # overflow and invalid-value warnings on the way there are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            dot_pos = np.einsum("bd,bd->b", cen0, ctx0)
+            dot_neg = np.einsum("bd,bjd->bj", cen0, neg0)
+            losses = np.logaddexp(0.0, -dot_pos) + np.logaddexp(0.0, dot_neg).sum(axis=1)
+            if np.isfinite(losses).all():
+                g_pos = _sigmoid_np(dot_pos) - 1.0
+                g_neg = _sigmoid_np(dot_neg)
+                scale = lr / batch_size  # one SGD step on the batch's mean pair loss
+                grad_cen = g_pos[:, None] * ctx0 + np.einsum("bj,bjd->bd", g_neg, neg0)
+                _add_rows_at(inp, centers, -scale * grad_cen)
+                coef = np.concatenate([g_pos[:, None], g_neg], axis=1)
+                rows = np.concatenate([ctxs[:, None], negs], axis=1)
+                grad_out = coef[:, :, None] * cen0[:, None, :]
+                _add_rows_at(out, rows.reshape(-1), (-scale * grad_out).reshape(-1, inp.shape[1]))
         yield losses
 
 
@@ -196,14 +268,15 @@ def _run_window_numpy(
     loss_sum accumulates each batch's mean pair loss.
     """
     rng = Rng.from_state(int(state[0]))
+    stream = BlockRng(rng)
     centers = np.empty(batch_size, np.int32)
     ctxs = np.empty(batch_size, np.int32)
     negs = np.empty((batch_size, n_neg), np.int32)
-    batches = _sgd_batch_numpy(inp, out, cdf, rng, centers, ctxs, negs, lr)
+    batches = _sgd_batch_numpy(inp, out, cdf, stream, centers, ctxs, negs, lr)
     loss_sum = 0.0
     for step in range(n_batches):
         _gen_pairs_py(
-            tokens, starts, ends, rng, cursor, pend, centers, ctxs, half_window, num_skips
+            tokens, starts, ends, stream, cursor, pend, centers, ctxs, half_window, num_skips
         )
         losses = next(batches)
         bad = np.flatnonzero(~np.isfinite(losses))

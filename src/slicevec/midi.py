@@ -249,7 +249,12 @@ def sounding_pitches(events: list[NoteEvent], grid: BeatGrid, beat: int) -> set[
     return {e.pitch for e in events if e.onset_ticks < end and e.offset_ticks > start}
 
 
+MAX_VARLEN = (1 << 28) - 1  # largest value a 4-byte variable-length quantity holds
+
+
 def _write_varlen(value: int) -> bytes:
+    if not 0 <= value <= MAX_VARLEN:
+        raise ValueError(f"variable-length quantity {value} is outside 0..{MAX_VARLEN}")
     out = [value & 0x7F]
     value >>= 7
     while value:
@@ -269,7 +274,9 @@ def write_smf(
 
     Events are emitted in (tick, off-before-on, channel, pitch) order so the
     byte stream is deterministic. All note-ons carry the same velocity; the
-    pipeline does not model dynamics.
+    pipeline does not model dynamics. A gap of more than MAX_VARLEN ticks
+    between consecutive messages raises ValueError, because parse_midi reads
+    delta times of at most 4 bytes.
     """
     if ticks_per_beat <= 0:
         raise ValueError("ticks_per_beat must be positive")

@@ -1,13 +1,24 @@
 """Deterministic 64-bit PRNG used by training.
 
-xorshift64* seeded through one round of splitmix64. Implemented here on plain
-Python ints (masked to 64 bits) and again inside the numba kernels on uint64;
-the two produce bit-identical streams, which keeps batch contents and negative
-samples independent of the compute backend. Any change here must be mirrored
-in ``_kernels.py``.
+xorshift64* seeded through one round of splitmix64. ``Rng`` is the reference:
+plain Python ints masked to 64 bits, one value per call. The numba kernels
+step the same stream on uint64, and the numpy trainer draws it a block at a
+time through ``BlockRng``; all three produce bit-identical streams, which
+keeps batch contents and negative samples independent of the compute
+backend. Any change here must be mirrored in ``_kernels.py``.
+
+xorshift64* updates its state by a linear map over GF(2) (Marsaglia 2003,
+"Xorshift RNGs"; Vigna 2016, arXiv:1402.6246), so the state k steps ahead is
+a 64x64 bit matrix applied to the state. ``BlockRng`` uses that to start up
+to 256 lanes a fixed spacing apart and then steps all of them at once on
+uint64.
 """
 
 from __future__ import annotations
+
+from functools import cache
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -64,3 +75,167 @@ class Rng:
                 return 0
             raise ValueError(f"below() needs n >= 1, got {n}")
         return self.next_u64() % n
+
+
+MAX_LANES = 256
+MAX_SPACING = 64  # steps between lanes; a block holds at most 16k values
+_SMALL = 64  # fills below this many values are stepped in Python
+_U12, _U25, _U27, _U11 = (np.uint64(k) for k in (12, 25, 27, 11))
+_STAR = np.uint64(STAR_MULT)
+_BITS = np.arange(64, dtype=np.uint64)
+_EMPTY = np.empty(0, dtype=np.uint64)
+
+
+def _step(x: int) -> int:
+    x ^= x >> 12
+    x = (x ^ (x << 25)) & MASK64
+    return x ^ (x >> 27)
+
+
+def _jump(cols: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Apply the bit matrix with columns cols to every state (GF(2) product)."""
+    bits = (states[:, None] >> _BITS) & np.uint64(1)
+    return np.bitwise_xor.reduce(bits * cols, axis=1)
+
+
+@cache
+def _jump_table() -> tuple[np.ndarray, ...]:
+    """Columns of the matrices that advance the state 2**k steps, k = 0..15.
+
+    Built on first use, never at import.
+    """
+    table = [np.array([_step(1 << b) for b in range(64)], dtype=np.uint64)]
+    while len(table) < 16:
+        table.append(_jump(table[-1], table[-1]))  # square: J^2 e_b = J (J e_b)
+    return tuple(table)
+
+
+def _lane_block(start: int, lanes: int, spacing: int) -> np.ndarray:
+    """The lanes * spacing states that follow start, in stream order.
+
+    lanes and spacing are powers of two. Lane k starts k * spacing steps
+    after start; row t of the work array holds every lane after t + 1 steps.
+    Each step costs six numpy calls whatever the lane count, so wide blocks
+    are cheap per value.
+    """
+    table = _jump_table()
+    k = spacing.bit_length() - 1
+    x = np.array([start], dtype=np.uint64)
+    while len(x) < lanes:
+        x = np.concatenate([x, _jump(table[k], x)])
+        k += 1
+    block = np.empty((spacing, lanes), dtype=np.uint64)
+    tmp = np.empty(lanes, dtype=np.uint64)
+    for row in block:
+        np.right_shift(x, _U12, row)
+        np.bitwise_xor(row, x, row)
+        np.left_shift(row, _U25, tmp)
+        np.bitwise_xor(row, tmp, row)
+        np.right_shift(row, _U27, tmp)
+        np.bitwise_xor(row, tmp, row)
+        x = row
+    return block.T.reshape(-1)
+
+
+def _states_after(start: int, n: int) -> np.ndarray:
+    """At least n states that follow start, in stream order."""
+    if n < _SMALL:
+        out = []
+        x = start
+        for _ in range(n):
+            x = _step(x)
+            out.append(x)
+        return np.array(out, dtype=np.uint64)
+    parts = []
+    while n > 0:
+        lanes = min(MAX_LANES, 1 << ((n.bit_length() + 1) // 2 + 2))  # about 4 sqrt(n)
+        spacing = min(MAX_SPACING, 1 << ((n - 1) // lanes).bit_length())
+        parts.append(_lane_block(start, lanes, spacing))
+        start = int(parts[-1][-1])
+        n -= len(parts[-1])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class BlockRng:
+    """The stream of an Rng, made by numpy a block at a time.
+
+    Values come out in exactly the order Rng.next_u64 would give them, and
+    consuming values advances the bound Rng's state to the state after the
+    last one consumed. Values can be looked at (peek) before they are
+    consumed (skip). If the Rng is stepped directly in between, the
+    buffered values are dropped and the stream resumes from its state.
+
+    Fresh streams fill small blocks; each refill doubles the last one, up
+    to MAX_LANES * MAX_SPACING values, so short uses stay cheap and long ones
+    amortize the lane start-up.
+    """
+
+    __slots__ = ("rng", "_raw", "_pos", "_state", "_fill")
+
+    def __init__(self, rng: Rng):
+        self.rng = rng
+        self._raw = _EMPTY  # buffered states; outputs are these times STAR_MULT
+        self._pos = 0  # states consumed from _raw
+        self._state = rng.state  # rng.state as this stream last left it
+        self._fill = 0
+
+    @classmethod
+    def over(cls, rng: "Rng | BlockRng") -> "BlockRng":
+        """rng itself when it already is a BlockRng, else a new one bound to it."""
+        return rng if isinstance(rng, BlockRng) else cls(rng)
+
+    @property
+    def state(self) -> int:
+        return self.rng.state
+
+    def _ensure(self, n: int) -> None:
+        if self.rng.state != self._state:
+            self._raw, self._pos, self._state = _EMPTY, 0, self.rng.state
+        have = len(self._raw) - self._pos
+        if have >= n:
+            return
+        tail = self._raw[self._pos :]
+        last = int(tail[-1]) if have else self._state
+        self._fill = max(n - have, min(MAX_LANES * MAX_SPACING, 2 * self._fill))
+        fresh = _states_after(last, self._fill)
+        self._raw = np.concatenate([tail, fresh]) if have else fresh
+        self._pos = 0
+
+    def peek(self, n: int) -> np.ndarray:
+        """The next n u64 outputs, not consumed."""
+        self._ensure(n)
+        return self._raw[self._pos : self._pos + n] * _STAR
+
+    def skip(self, n: int) -> None:
+        """Consume the next n values."""
+        if n <= 0:
+            return
+        self._ensure(n)
+        self._pos += n
+        self._state = self.rng.state = int(self._raw[self._pos - 1])
+
+    def u64(self, n: int) -> np.ndarray:
+        out = self.peek(n)
+        self.skip(n)
+        return out
+
+    def floats(self, n: int) -> np.ndarray:
+        """n uniform float64 in [0, 1), as Rng.next_float makes them."""
+        return to_floats(self.u64(n))
+
+    def below(self, bounds: np.ndarray) -> np.ndarray:
+        """Rng.below(n) for each n in bounds, in order; n == 1 consumes nothing."""
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        if (bounds < 1).any():
+            raise ValueError("below() needs n >= 1")
+        drawn = bounds > 1
+        out = np.zeros(len(bounds), dtype=np.uint64)
+        out[drawn] = self.u64(int(np.count_nonzero(drawn))) % bounds[drawn]
+        return out
+
+
+def to_floats(u64: np.ndarray) -> np.ndarray:
+    """53-bit floats in [0, 1) from u64 outputs, as Rng.next_float makes them."""
+    out = (u64 >> _U11).astype(np.float64)
+    out *= _INV53
+    return out

@@ -21,10 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .rng import Rng, splitmix64
+from .rng import BlockRng, Rng, splitmix64
 from .slicer import EncodedCorpus, Vocabulary
 
 NOISE_POWER = 0.75
+_INIT_CHUNK = 1 << 12  # initial values drawn per block request
 
 
 class NumericalAbortError(RuntimeError):
@@ -85,9 +86,12 @@ class EmbeddingMatrix:
     def initialize(cls, vocab_size: int, dims: int, rng: Rng) -> "EmbeddingMatrix":
         """Inputs uniform in [-0.5/dims, +0.5/dims), drawn row-major; outputs zero."""
         inp = np.empty((vocab_size, dims), dtype=np.float64)
-        for i in range(vocab_size):
-            for d in range(dims):
-                inp[i, d] = (rng.next_float() - 0.5) / dims
+        flat = inp.reshape(-1)
+        stream = BlockRng(rng)
+        for a in range(0, len(flat), _INIT_CHUNK):
+            chunk = flat[a : a + _INIT_CHUNK]
+            np.subtract(stream.floats(len(chunk)), 0.5, out=chunk)
+            chunk /= dims
         out = np.zeros((vocab_size, dims), dtype=np.float64)
         return cls(inp, out)
 

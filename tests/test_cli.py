@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import slicevec
 from slicevec import _kernels
 from slicevec.analysis import CIRCLE_OF_FIFTHS, SimilarityMatrix
 from slicevec.cli import main
@@ -159,10 +162,20 @@ def test_numerical_abort_exits_3(capsys):
           "--pieces-per-key", "1", "--bars", "4"])
     main(["ingest", "--corpus-dir", "midi", "--vocab-size", "60"])
     capsys.readouterr()
-    rc = main(["train", "--dims", "4", "--steps", "60", "--loss-every", "20",
-               "--batch-size", "4", "--learning-rate", "1e200"])
-    assert rc == 3
-    assert "numerical abort" in capsys.readouterr().err
+    # a separate process, so that stderr holds every line a user would see,
+    # numpy warnings included (pytest would capture those in-process)
+    argv = ["train", "--dims", "4", "--steps", "60", "--loss-every", "20",
+            "--batch-size", "4", "--learning-rate", "1e200"]
+    src = os.path.dirname(os.path.dirname(slicevec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from slicevec.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 3
+    assert "numerical abort" in result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
 
 
 _VOCAB = "SLICEVOCAB v1 3\n0 UNK 0\n1 0.4.7 3\n2 2.7.11 2\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from slicevec import _kernels
-from slicevec.rng import Rng
+from slicevec.rng import BlockRng, Rng
 from slicevec.slicer import EncodedCorpus, Vocabulary, Slice
 from slicevec.trainer import (
     BatchCursor,
@@ -79,6 +80,79 @@ def test_pair_stream_structure():
             if pos >= lengths[piece]:
                 pos = 0
                 piece = (piece + 1) % len(lengths)
+
+
+def _gen_pairs_by_walk(
+    tokens, starts, ends, rng, cursor, pend, centers, ctxs, half_window, num_skips
+):
+    """One center at a time, one Rng value per swap: the stream _gen_pairs_py must reproduce."""
+    piece, pos, pi, pn, pcen = (int(v) for v in cursor)
+    avail = [0] * (2 * half_window)
+    for b in range(len(centers)):
+        while pi >= pn:
+            start = int(starts[piece])
+            length = int(ends[piece]) - start
+            lo, hi = max(pos - half_window, 0), min(pos + half_window, length - 1)
+            m = 0
+            for q in range(lo, hi + 1):
+                if q != pos:
+                    avail[m] = q
+                    m += 1
+            kk = min(num_skips, m)
+            for i in range(kk):
+                j = i + rng.below(m - i)
+                avail[i], avail[j] = avail[j], avail[i]
+                pend[i] = tokens[start + avail[i]]
+            pcen, pi, pn = int(tokens[start + pos]), 0, kk
+            pos += 1
+            if pos >= length:
+                pos, piece = 0, (piece + 1) % len(starts)
+        centers[b] = pcen
+        ctxs[b] = pend[pi]
+        pi += 1
+    cursor[:] = (piece, pos, pi, pn, pcen)
+
+
+def test_pair_generation_matches_scalar_walk():
+    rnd = random.Random(19)
+    for trial in range(40):
+        tokens, starts, ends, _ = random_layout(rnd, max_pieces=5)
+        if trial % 2:  # pieces in another order than their tokens
+            order = list(range(len(starts)))
+            rnd.shuffle(order)
+            starts, ends = starts[order], ends[order]
+        half_window = rnd.randrange(1, 4)
+        num_skips = rnd.randrange(1, 2 * half_window + 1)
+        seed = rnd.randrange(1 << 40)
+        rng, ref = Rng(seed), Rng(seed)
+        stream = BlockRng(rng) if trial % 3 else rng
+        cur, cur_ref = np.zeros(5, np.int64), np.zeros(5, np.int64)
+        pend, pend_ref = np.zeros(2 * half_window, np.int32), np.zeros(2 * half_window, np.int32)
+        for _ in range(15):
+            n = rnd.choice((1, 2, 3, 17, 128, 300))
+            got = np.empty(n, np.int32), np.empty(n, np.int32)
+            expected = np.empty(n, np.int32), np.empty(n, np.int32)
+            _kernels._gen_pairs_py(
+                tokens, starts, ends, stream, cur, pend, *got, half_window, num_skips
+            )
+            _gen_pairs_by_walk(
+                tokens, starts, ends, ref, cur_ref, pend_ref, *expected, half_window, num_skips
+            )
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])
+            assert np.array_equal(cur, cur_ref)
+            assert rng.state == ref.state
+
+
+def test_pair_generation_rejects_short_pieces():
+    tokens = np.arange(5, dtype=np.int32)
+    starts, ends = np.array([0, 4], np.int64), np.array([4, 5], np.int64)
+    out = np.empty(4, np.int32), np.empty(4, np.int32)
+    with pytest.raises(ValueError, match="2 tokens"):
+        _kernels._gen_pairs_py(
+            tokens, starts, ends, Rng(1), np.zeros(5, np.int64), np.zeros(4, np.int32),
+            *out, 2, 2,
+        )
 
 
 @needs_numba
@@ -167,6 +241,38 @@ def test_negative_draw_matches_linear_scan():
         assert rng.state == oracle_rng.state
 
 
+def test_batched_negatives_match_one_draw_at_a_time():
+    rnd = random.Random(43)
+    cdfs = [
+        NoiseDistribution.from_counts(
+            np.array([rnd.randrange(0, 60) for _ in range(rnd.randrange(3, 40))])
+        ).cdf
+        for _ in range(6)
+    ]
+    cdfs += [
+        np.array([0.25, 0.5, 1.0 + 2.0**-52, 1.0]),
+        np.array([0.5, 1.0 + 2.0**-52, 1.0]),
+        np.array([0.3, 0.3, 0.7, 1.0 + 2.0**-52, 1.0]),
+        # two tokens: about half of all draws are rejected, often several in a row
+        NoiseDistribution.from_counts(np.array([3, 4])).cdf,
+        np.array([0.02, 1.0]),
+    ]
+    for cdf in cdfs:
+        seed = rnd.randrange(1 << 40)
+        rng, one, oracle = Rng(seed), Rng(seed), Rng(seed)
+        stream = BlockRng(rng)
+        for _ in range(8):
+            rows, n_neg = rnd.choice((1, 3, 128)), rnd.choice((1, 2, 5))
+            excludes = np.array([rnd.randrange(len(cdf)) for _ in range(rows)], np.int32)
+            got = _kernels._draw_negatives_py(cdf, rnd.choice((stream, rng)), excludes, n_neg)
+            assert got.shape == (rows, n_neg)
+            for p, exclude in enumerate(excludes.tolist()):
+                for j in range(n_neg):
+                    assert got[p, j] == _kernels._draw_negative_py(cdf, one, exclude)
+                    assert got[p, j] == _draw_by_linear_scan(cdf, oracle, exclude)
+            assert rng.state == one.state == oracle.state
+
+
 def _window_setup(rnd, dims=8, vocab=12):
     tokens, starts, ends, _ = random_layout(rnd, min_len=3, max_len=20, max_pieces=3)
     tokens = (tokens % (vocab - 1) + 1).astype(np.int32)  # keep 0 for UNK
@@ -241,6 +347,32 @@ def test_batch_api_reproduces_numpy_window_bitwise():
     assert np.array_equal(emb.output_vectors, out)
     assert cursor.state[0] == state[0]
     assert np.array_equal(cursor.position, position)
+
+
+# sha256 of input_vectors + output_vectors bytes and the loss trace of the
+# tiny training run below, as the one-value-at-a-time numpy trainer made them
+GOLDEN_TINY_SHA256 = "df76c70352e7c8d19d3c4a4d5d1dde0407112c81cb478823fa80de53b0a86fa7"
+GOLDEN_TINY_LOSSES = [
+    (50, 2.7685130968813034),
+    (100, 2.6562357260003506),
+    (150, 2.2382432196440583),
+    (200, 2.0873035112218172),
+]
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "numpy", reason="numpy backend bytes")
+def test_numpy_training_reproduces_golden_bytes():
+    corpus, vocab = _tiny_training_setup()
+    config = TrainingConfig(
+        dims=8, window_c=4, num_skips_k=2, negative_samples=3,
+        learning_rate=0.2, batch_size=16, steps=200, seed=5, loss_every=50,
+    )
+    emb, trace = train(corpus, vocab, config)
+    digest = hashlib.sha256(
+        emb.input_vectors.tobytes() + emb.output_vectors.tobytes()
+    ).hexdigest()
+    assert digest == GOLDEN_TINY_SHA256
+    assert trace.checkpoints == GOLDEN_TINY_LOSSES
 
 
 @needs_numba

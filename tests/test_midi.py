@@ -296,6 +296,17 @@ def test_writer_emits_offs_before_ons_at_shared_ticks():
     assert parsed.unclosed_notes == 0
 
 
+def test_writer_accepts_largest_delta_and_refuses_larger():
+    largest = (1 << 28) - 1
+    events = [NoteEvent(60, 0, largest, 0)]
+    parsed = parse_midi(write_smf(events, 0x7FFF))
+    assert parsed.events == events
+    with pytest.raises(ValueError, match="variable-length"):
+        write_smf([NoteEvent(60, 0, largest + 1, 0)], 0x7FFF)
+    with pytest.raises(ValueError, match="variable-length"):
+        write_smf([NoteEvent(60, largest + 1, largest + 2, 0)], 0x7FFF)
+
+
 def test_writer_header_fields():
     data = write_smf([NoteEvent(60, 0, 5, 0)], 48)
     fmt, ntrks, division = struct.unpack(">HHH", data[8:14])

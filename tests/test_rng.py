@@ -1,12 +1,23 @@
-"""PRNG reference vectors, distribution sanity, and numba twin parity."""
+"""PRNG reference vectors, distribution sanity, block-stream and numba twin parity."""
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
 
 from slicevec import _kernels
-from slicevec.rng import GOLDEN, MASK64, Rng, seed_to_state, splitmix64
+from slicevec.rng import (
+    GOLDEN,
+    MASK64,
+    MAX_LANES,
+    MAX_SPACING,
+    BlockRng,
+    Rng,
+    seed_to_state,
+    splitmix64,
+)
 
 needs_numba = pytest.mark.skipif(
     _kernels.BACKEND != "numba", reason="numba backend not active"
@@ -123,6 +134,82 @@ def test_streams_differ_between_seeds():
     a = [Rng(1).next_u64() for _ in range(1)]
     b = [Rng(2).next_u64() for _ in range(1)]
     assert a != b
+
+
+BLOCK = MAX_LANES * MAX_SPACING
+
+
+def _take(block, ref, kind, n, rnd):
+    """n values of one kind from the block stream and from the reference Rng."""
+    if kind == "u64":
+        return block.u64(n).tolist(), [ref.next_u64() for _ in range(n)]
+    if kind == "float":
+        return block.floats(n).tolist(), [ref.next_float() for _ in range(n)]
+    bounds = [rnd.choice((1, 1, 2, 3, 7, 12, 100, 2**40, 2**64 - 1)) for _ in range(n)]
+    return block.below(np.array(bounds, dtype=np.uint64)).tolist(), [ref.below(b) for b in bounds]
+
+
+def test_block_stream_matches_rng_at_random_states_and_offsets():
+    rnd = random.Random(41)
+    states = [0, 1, GOLDEN, MASK64] + [rnd.getrandbits(64) for _ in range(8)]
+    for state in states:
+        ref = Rng.from_state(state)
+        block = BlockRng(Rng.from_state(state))
+        for _ in range(12):
+            kind = rnd.choice(("u64", "float", "below"))
+            n = rnd.choice((0, 1, 2, 63, 64, 65, 500, 1023, 1025, 5000))
+            got, expected = _take(block, ref, kind, n, rnd)
+            assert got == expected, (state, kind, n)
+            assert block.state == block.rng.state == ref.state
+
+
+def test_block_stream_from_zero_state_starts_at_golden():
+    block = BlockRng(Rng.from_state(0))
+    assert block.state == GOLDEN
+    ref = Rng.from_state(GOLDEN)
+    assert block.u64(100).tolist() == [ref.next_u64() for _ in range(100)]
+    assert block.state == ref.state
+
+
+def test_block_stream_matches_rng_across_lane_and_block_refills():
+    # sizes that end exactly on, and one past, a lane, a full block and the
+    # point where consumption crosses into the next block
+    ref = Rng(8)
+    block = BlockRng(Rng(8))
+    for n in (MAX_SPACING, 1, BLOCK - 1, 2, BLOCK, 3 * MAX_SPACING + 1, BLOCK + 7, 1):
+        assert block.u64(n).tolist() == [ref.next_u64() for _ in range(n)], n
+        assert block.state == ref.state
+
+
+def test_block_stream_peek_consumes_nothing():
+    ref = Rng(12)
+    block = BlockRng(Rng(12))
+    ahead = block.peek(3000).tolist()
+    assert block.state == Rng(12).state
+    assert block.u64(10).tolist() == ahead[:10]
+    block.skip(2000)
+    assert block.u64(990).tolist() == ahead[2010:]
+    for _ in range(3000):
+        ref.next_u64()
+    assert block.state == ref.state
+
+
+def test_block_stream_follows_direct_steps_of_its_rng():
+    rng = Rng(13)
+    block = BlockRng(rng)
+    first = block.u64(5).tolist()
+    block.peek(2000)  # buffered ahead of the Rng
+    direct = rng.next_u64()
+    ref = Rng(13)
+    assert first == [ref.next_u64() for _ in range(5)]
+    assert direct == ref.next_u64()
+    assert block.u64(100).tolist() == [ref.next_u64() for _ in range(100)]
+    assert rng.state == ref.state
+
+
+def test_block_stream_below_rejects_nonpositive():
+    with pytest.raises(ValueError):
+        BlockRng(Rng(4)).below(np.array([3, 0], dtype=np.uint64))
 
 
 @needs_numba

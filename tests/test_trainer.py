@@ -64,6 +64,17 @@ def test_initialize_consumes_rng_row_major():
     assert emb.input_vectors.min() >= -0.5 / dims
 
 
+def test_initialize_matches_scalar_stream_across_blocks():
+    # more values than one block request, so the fill is chunked
+    size, dims, seed = 300, 256, 5
+    rng = Rng(seed)
+    emb = EmbeddingMatrix.initialize(size, dims, rng)
+    ref = Rng(seed)
+    expected = [(ref.next_float() - 0.5) / dims for _ in range(size * dims)]
+    assert emb.input_vectors.flatten().tolist() == expected
+    assert rng.state == ref.state
+
+
 def test_initial_loss_is_log2_per_classifier():
     # with zero output vectors every dot product is 0, so each pair costs
     # (1 + negative_samples) * ln 2
