@@ -46,7 +46,7 @@ if _choice not in ("auto", "numba", "numpy"):
 HAVE_NUMBA = False
 if _choice in ("auto", "numba"):
     try:
-        from numba import njit, prange
+        from numba import njit
 
         HAVE_NUMBA = True
     except ImportError:
@@ -480,62 +480,8 @@ if HAVE_NUMBA:
                         out[nrow, d] -= scale * (g_neg[p, j] * cen0[p, d])
         return loss_sum, 0, -1, -1
 
-    @njit(cache=True, parallel=True)
-    def _run_parallel_nb(
-        tokens,
-        starts2d,
-        ends2d,
-        n_pieces,
-        inp,
-        out,
-        cdf,
-        states,
-        cursors,
-        pends,
-        shard_steps,
-        batch_size,
-        half_window,
-        num_skips,
-        n_neg,
-        lr,
-        loss_every,
-        win_sums,
-        win_counts,
-        statuses,
-        abort_steps,
-        abort_pairs,
-    ):
-        n_shards = len(shard_steps)
-        n_cols = win_sums.shape[1]
-        for s in prange(n_shards):
-            starts = starts2d[s, : n_pieces[s]]
-            ends = ends2d[s, : n_pieces[s]]
-            state = states[s : s + 1]
-            cursor = cursors[s]
-            pend = pends[s]
-            done = 0
-            remaining = shard_steps[s]
-            while remaining > 0:
-                chunk = loss_every if loss_every < remaining else remaining
-                loss_sum, status, astep, apair = _run_window_nb(
-                    tokens, starts, ends, inp, out, cdf, state, cursor, pend,
-                    chunk, batch_size, half_window, num_skips, n_neg, lr, done,
-                )
-                if status != 0:
-                    statuses[s] = status
-                    abort_steps[s] = astep
-                    abort_pairs[s] = apair
-                    break
-                w = done // loss_every
-                if w < n_cols:
-                    win_sums[s, w] += loss_sum
-                    win_counts[s, w] += chunk
-                done += chunk
-                remaining -= chunk
-
 else:
     _run_window_nb = None
-    _run_parallel_nb = None
     _gen_pairs_nb = None
     _draw_negative_nb = None
     _nb_next_u64 = None

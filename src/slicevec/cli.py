@@ -181,13 +181,9 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
-        emb, trace = train(corpus, vocab, tconfig, threads=cfg.threads)
-    except NumericalAbortError:
-        raise
+        emb, trace = train(corpus, vocab, tconfig)
     except ValueError as exc:
         raise DataError(str(exc)) from None
-    except RuntimeError as exc:  # --threads > 1 without the numba backend
-        raise ConfigError(str(exc)) from None
     space = EmbeddingSpace.from_training(vocab, emb)
     save_embedding(cfg.embedding_path, space)
     trace.save_csv(cfg.loss_csv)

@@ -48,13 +48,13 @@ class PipelineConfig:
     seed: int = 1
     top_n: int = 5
     exclude_identity: bool = True
-    threads: int = 1
+    threads: int = 1  # training is single-threaded; kept so --threads 1 still parses
 
     def __post_init__(self):
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must be >= 2")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if self.threads != 1:
+            raise ConfigError("threads must be 1")
         paths = [self.corpus_cache, self.vocab_cache, self.embedding_path, self.loss_csv]
         if len(set(paths)) != len(paths):
             raise ConfigError("cache/output paths must be pairwise distinct")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .slicer import REST_FORM, UNK_FORM, Slice, Vocabulary
+from .slicer import UNK_FORM, Slice, Vocabulary, check_cache_end, read_cache_header
 from .trainer import EmbeddingMatrix
 
 EMBEDDING_MAGIC = "SLICEVEC"
@@ -162,12 +162,7 @@ def save_embedding(path: str, space: EmbeddingSpace) -> None:
 
 def load_embedding(path: str) -> EmbeddingSpace:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != EMBEDDING_MAGIC:
-            raise ValueError(f"{path}: not a {EMBEDDING_MAGIC} file")
-        if header[1] != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {header[1]}")
-        size, dims = int(header[2]), int(header[3])
+        size, dims = read_cache_header(fh, path, EMBEDDING_MAGIC, FORMAT_VERSION, 2)
         forms = []
         vectors = np.empty((size, dims), dtype=np.float64)
         for i in range(size):
@@ -176,4 +171,5 @@ def load_embedding(path: str) -> EmbeddingSpace:
                 raise ValueError(f"{path}: bad vector line for token {i}")
             forms.append(parts[0])
             vectors[i] = [float(v) for v in parts[1:]]
+        check_cache_end(fh, path, size)
     return EmbeddingSpace(forms, vectors)

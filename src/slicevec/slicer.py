@@ -204,20 +204,35 @@ def save_corpus(path: str, pieces: Sequence[Sequence[Slice]]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_cache_header(fh, path: str, magic: str, version: str, n_counts: int) -> list[int]:
+    """The counts on a cache file's "<magic> <version> <count>..." header line."""
+    header = fh.readline().split()
+    if len(header) != 2 + n_counts or header[0] != magic:
+        raise ValueError(f"{path}: not a {magic} file")
+    if header[1] != version:
+        raise ValueError(f"{path}: unsupported version {header[1]}")
+    counts = [int(c) for c in header[2:]]
+    if min(counts) < 0:
+        raise ValueError(f"{path}: negative count in header")
+    return counts
+
+
+def check_cache_end(fh, path: str, n_lines: int) -> None:
+    """Refuse anything after a cache file's n_lines counted lines."""
+    if fh.readline():
+        raise ValueError(f"{path}: content after the {n_lines} counted lines")
+
+
 def load_corpus(path: str) -> list[list[Slice]]:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != CORPUS_MAGIC:
-            raise ValueError(f"{path}: not a {CORPUS_MAGIC} file")
-        if header[1] != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {header[1]}")
-        n_pieces = int(header[2])
+        (n_pieces,) = read_cache_header(fh, path, CORPUS_MAGIC, FORMAT_VERSION, 1)
         pieces = []
         for i in range(n_pieces):
             line = fh.readline()
             if not line:
                 raise ValueError(f"{path}: expected {n_pieces} pieces, found {i}")
             pieces.append([Slice.from_form(form) for form in line.split()])
+        check_cache_end(fh, path, n_pieces)
     return pieces
 
 
@@ -232,12 +247,7 @@ def save_vocabulary(path: str, vocab: Vocabulary) -> None:
 
 def load_vocabulary(path: str) -> Vocabulary:
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3 or header[0] != VOCAB_MAGIC:
-            raise ValueError(f"{path}: not a {VOCAB_MAGIC} file")
-        if header[1] != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported version {header[1]}")
-        size = int(header[2])
+        (size,) = read_cache_header(fh, path, VOCAB_MAGIC, FORMAT_VERSION, 1)
         ranked: list[tuple[Slice, int]] = []
         unk_count = None
         for expected in range(size):
@@ -247,12 +257,15 @@ def load_vocabulary(path: str) -> Vocabulary:
             token, form, count = int(parts[0]), parts[1], int(parts[2])
             if token != expected:
                 raise ValueError(f"{path}: ids not contiguous at {token}")
+            if count < 0:
+                raise ValueError(f"{path}: negative count for id {token}")
             if token == 0:
                 if form != UNK_FORM:
                     raise ValueError(f"{path}: token 0 must be {UNK_FORM}, got {form}")
                 unk_count = count
             else:
                 ranked.append((Slice.from_form(form), count))
+        check_cache_end(fh, path, size)
     if unk_count is None:
         raise ValueError(f"{path}: vocabulary has no {UNK_FORM} entry")
     return Vocabulary(ranked, unk_count)

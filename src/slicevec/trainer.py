@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .rng import BlockRng, Rng, splitmix64
+from .rng import BlockRng, Rng
 from .slicer import EncodedCorpus, Vocabulary
 
 NOISE_POWER = 0.75
@@ -272,15 +272,12 @@ def train(
     corpus: EncodedCorpus,
     vocab: Vocabulary,
     config: TrainingConfig,
-    threads: int = 1,
 ) -> tuple[EmbeddingMatrix, LossTrace]:
     """Run config.steps batches of SGD; returns matrices and loss trace.
 
     Average loss is recorded every config.loss_every batches (partial
-    trailing windows are not recorded). With threads == 1 the run is
-    deterministic given the seed. threads > 1 uses lock-free parallel
-    updates over piece shards (numba backend only): convergent but racy,
-    and not reproducible run to run.
+    trailing windows are not recorded). The run is deterministic given the
+    seed and the backend.
     """
     _validate_corpus(corpus, vocab)
     if vocab.size < 2:
@@ -291,21 +288,6 @@ def train(
         return emb, LossTrace([])
     cursor = BatchCursor.start(corpus, config, rng)
     noise = NoiseDistribution.from_vocabulary(vocab)
-    if threads == 1:
-        trace = _train_single(emb, cursor, noise, config)
-    elif threads > 1:
-        trace = _train_parallel(emb, cursor, noise, config, threads)
-    else:
-        raise ValueError("threads must be >= 1")
-    return emb, trace
-
-
-def _train_single(
-    emb: EmbeddingMatrix,
-    cursor: BatchCursor,
-    noise: NoiseDistribution,
-    config: TrainingConfig,
-) -> LossTrace:
     checkpoints: list[tuple[int, float]] = []
     done = 0
     remaining = config.steps
@@ -337,80 +319,4 @@ def _train_single(
             checkpoints.append((done, loss_sum / config.loss_every))
             if not emb.all_finite():
                 raise NumericalAbortError(done - 1, -1)
-    return LossTrace(checkpoints)
-
-
-def _train_parallel(
-    emb: EmbeddingMatrix,
-    cursor: BatchCursor,
-    noise: NoiseDistribution,
-    config: TrainingConfig,
-    threads: int,
-) -> LossTrace:
-    if _kernels.BACKEND != "numba":
-        raise RuntimeError("parallel training requires the numba backend")
-    n_pieces_total = len(cursor.starts)
-    if threads > n_pieces_total:
-        raise ValueError(
-            f"threads ({threads}) cannot exceed trainable pieces ({n_pieces_total})"
-        )
-    # round-robin piece shards
-    shard_idx = [np.arange(s, n_pieces_total, threads) for s in range(threads)]
-    max_np = max(len(ix) for ix in shard_idx)
-    starts2d = np.zeros((threads, max_np), dtype=np.int64)
-    ends2d = np.zeros((threads, max_np), dtype=np.int64)
-    n_pieces = np.zeros(threads, dtype=np.int64)
-    for s, ix in enumerate(shard_idx):
-        n_pieces[s] = len(ix)
-        starts2d[s, : len(ix)] = cursor.starts[ix]
-        ends2d[s, : len(ix)] = cursor.ends[ix]
-    base = int(cursor.state[0])
-    states = np.array(
-        [splitmix64(base + s) or 1 for s in range(threads)], dtype=np.uint64
-    )
-    cursors = np.zeros((threads, 5), dtype=np.int64)
-    pends = np.zeros((threads, config.window_c), dtype=np.int32)
-    shard_steps = np.full(threads, config.steps // threads, dtype=np.int64)
-    shard_steps[: config.steps % threads] += 1
-    n_cols = int(shard_steps.max()) // config.loss_every + 1
-    win_sums = np.zeros((threads, n_cols), dtype=np.float64)
-    win_counts = np.zeros((threads, n_cols), dtype=np.int64)
-    statuses = np.zeros(threads, dtype=np.int64)
-    abort_steps = np.full(threads, -1, dtype=np.int64)
-    abort_pairs = np.full(threads, -1, dtype=np.int64)
-    _kernels._run_parallel_nb(
-        cursor.tokens,
-        starts2d,
-        ends2d,
-        n_pieces,
-        emb.input_vectors,
-        emb.output_vectors,
-        noise.cdf,
-        states,
-        cursors,
-        pends,
-        shard_steps,
-        config.batch_size,
-        config.window_c // 2,
-        config.num_skips_k,
-        config.negative_samples,
-        config.learning_rate,
-        config.loss_every,
-        win_sums,
-        win_counts,
-        statuses,
-        abort_steps,
-        abort_pairs,
-    )
-    if statuses.any():
-        s = int(np.flatnonzero(statuses)[0])
-        raise NumericalAbortError(int(abort_steps[s]), int(abort_pairs[s]))
-    if not emb.all_finite():
-        raise NumericalAbortError(config.steps - 1, -1)
-    # merge windows completed by every shard; steps are global equivalents
-    checkpoints = []
-    for w in range(n_cols):
-        if (win_counts[:, w] == config.loss_every).all():
-            avg = float(win_sums[:, w].sum()) / (config.loss_every * threads)
-            checkpoints.append(((w + 1) * config.loss_every * threads, avg))
-    return LossTrace(checkpoints)
+    return emb, LossTrace(checkpoints)

@@ -9,7 +9,6 @@ import sys
 import pytest
 
 import slicevec
-from slicevec import _kernels
 from slicevec.analysis import CIRCLE_OF_FIFTHS, SimilarityMatrix
 from slicevec.cli import main
 from slicevec.midi import parse_midi
@@ -188,14 +187,15 @@ _CORPUS = "SLICECORPUS v1 2\n0.4.7 2.7.11 0.4.7\n2.7.11 0.4.7\n"
         (_CORPUS, _VOCAB, ["--threads", "2"], 1, "config error:"),
         (_CORPUS, "SLICEVOCAB v1 0\n", [], 2, "data error:"),
         ("SLICECORPUS v1 2\n0.4.7\n2.7.11\n", _VOCAB, [], 2, "data error:"),
+        (_CORPUS + "0.4.7 2.7.11\n", _VOCAB, [], 2, "data error:"),
+        (_CORPUS, _VOCAB + "3 0.3.7 1\n", [], 2, "data error:"),
     ],
-    ids=["threads-without-numba", "vocab-without-unk", "no-trainable-piece"],
+    ids=[
+        "threads-not-one", "vocab-without-unk", "no-trainable-piece",
+        "corpus-trailing-line", "vocab-trailing-line",
+    ],
 )
-def test_train_rejects_bad_inputs_in_one_line(
-    monkeypatch, capsys, corpus, vocab, flags, code, prefix
-):
-    # parallel training is refused on the numpy backend, even where numba imports
-    monkeypatch.setattr(_kernels, "BACKEND", "numpy")
+def test_train_rejects_bad_inputs_in_one_line(capsys, corpus, vocab, flags, code, prefix):
     with open("corpus.txt", "w") as fh:
         fh.write(corpus)
     with open("vocab.txt", "w") as fh:
@@ -204,3 +204,12 @@ def test_train_rejects_bad_inputs_in_one_line(
     err = capsys.readouterr().err
     assert rc == code
     assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_analyze_rejects_trailing_embedding_line(capsys):
+    with open("embedding.txt", "w") as fh:
+        fh.write("SLICEVEC v1 2 2\nUNK 0.5 0.25\n0.4.7 1.0 -1.0\n7.11.2 1.0 1.0\n")
+    rc = main(["analyze", "analogy"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1

@@ -53,6 +53,8 @@ def test_config_validation():
         PipelineConfig(vocab_size=1)
     with pytest.raises(ConfigError):
         PipelineConfig(threads=0)
+    with pytest.raises(ConfigError, match="threads must be 1"):
+        PipelineConfig(threads=2)
     with pytest.raises(ConfigError, match="distinct"):
         PipelineConfig(corpus_cache="same.txt", vocab_cache="same.txt")
 

@@ -223,6 +223,17 @@ def test_load_rejects_malformed(tmp_path, text):
         load_embedding(str(path))
 
 
+def test_load_rejects_trailing_line_and_negative_counts(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("SLICEVEC v1 1 2\nUNK 1.0 2.0\n0.4.7 1.0 2.0\n")
+    with pytest.raises(ValueError, match="after the 1 counted lines"):
+        load_embedding(str(path))
+    for header in ("SLICEVEC v1 -1 2\n", "SLICEVEC v1 1 -2\n"):
+        path.write_text(header)
+        with pytest.raises(ValueError, match="negative count"):
+            load_embedding(str(path))
+
+
 def test_space_validation():
     with pytest.raises(ValueError, match="2-D"):
         EmbeddingSpace(["0"], np.zeros(3))

@@ -375,28 +375,6 @@ def test_numpy_training_reproduces_golden_bytes():
     assert trace.checkpoints == GOLDEN_TINY_LOSSES
 
 
-@needs_numba
-def test_parallel_training_stays_finite():
-    corpus, vocab = _tiny_training_setup()
-    config = TrainingConfig(
-        dims=8, window_c=2, num_skips_k=1, negative_samples=2,
-        learning_rate=0.05, batch_size=16, steps=400, seed=2, loss_every=100,
-    )
-    emb, trace = train(corpus, vocab, config, threads=2)
-    assert emb.all_finite()
-    for step, loss in trace.checkpoints:
-        assert step % (config.loss_every * 2) == 0
-        assert np.isfinite(loss)
-
-
-@needs_numba
-def test_parallel_needs_enough_pieces():
-    corpus, vocab = _tiny_training_setup()
-    config = TrainingConfig(dims=4, steps=10, batch_size=4, seed=1)
-    with pytest.raises(ValueError, match="pieces"):
-        train(corpus, vocab, config, threads=3)
-
-
 _SELECT_SNIPPET = (
     "import os, sys; "
     "from slicevec import _kernels; "
@@ -428,24 +406,3 @@ def test_backend_env_selection():
 def test_backend_env_numba_and_auto():
     assert run_with_backend("numba").stdout.strip() == "numba"
     assert run_with_backend(None).stdout.strip() == "numba"
-
-
-def test_parallel_rejected_on_numpy_backend():
-    snippet = (
-        "import numpy as np\n"
-        "from slicevec.slicer import EncodedCorpus, Vocabulary, Slice\n"
-        "from slicevec.trainer import TrainingConfig, train\n"
-        "corpus = EncodedCorpus.from_ids([[1, 2, 3], [2, 3, 4]])\n"
-        "vocab = Vocabulary([(Slice((pc,)), 4 - pc) for pc in range(4)], 1)\n"
-        "config = TrainingConfig(dims=4, steps=5, batch_size=4, seed=1)\n"
-        "try:\n"
-        "    train(corpus, vocab, config, threads=2)\n"
-        "except RuntimeError as exc:\n"
-        "    print('refused:', exc)\n"
-    )
-    env = dict(os.environ, SLICEVEC_BACKEND="numpy")
-    result = subprocess.run(
-        [sys.executable, "-c", snippet], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0
-    assert "refused:" in result.stdout

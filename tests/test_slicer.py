@@ -213,6 +213,30 @@ def test_vocab_cache_rejects_malformed(tmp_path):
         load_vocabulary(str(path))
 
 
+def test_corpus_cache_rejects_trailing_line_and_negative_count(tmp_path):
+    path = tmp_path / "bad.txt"
+    for text in ("SLICECORPUS v1 1\n0.4.7\n2.7.11\n", "SLICECORPUS v1 1\n0.4.7\n\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="after the 1 counted lines"):
+            load_corpus(str(path))
+    path.write_text("SLICECORPUS v1 -3\n")
+    with pytest.raises(ValueError, match="negative count"):
+        load_corpus(str(path))
+
+
+def test_vocab_cache_rejects_trailing_line_and_negative_counts(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("SLICEVOCAB v1 2\n0 UNK 0\n1 0.4.7 5\n2 2.7.11 1\n")
+    with pytest.raises(ValueError, match="after the 2 counted lines"):
+        load_vocabulary(str(path))
+    path.write_text("SLICEVOCAB v1 -1\n")
+    with pytest.raises(ValueError, match="negative count in header"):
+        load_vocabulary(str(path))
+    path.write_text("SLICEVOCAB v1 2\n0 UNK -5\n1 0.4.7 5\n")
+    with pytest.raises(ValueError, match="negative count for id 0"):
+        load_vocabulary(str(path))
+
+
 def test_vocabulary_equality():
     stream = [Slice((0,))] * 2 + [Slice((4,))]
     v1 = build_vocabulary(iter(stream), max_size=3)

@@ -368,8 +368,6 @@ def test_train_validates_inputs():
     lone = Vocabulary([], unk_count=3)
     with pytest.raises(ValueError, match="at least 2"):
         train(EncodedCorpus.from_ids([[0, 0]]), lone, TrainingConfig(dims=4, steps=1))
-    with pytest.raises(ValueError, match="threads"):
-        train(corpus, vocab, TrainingConfig(dims=4, steps=1), threads=0)
 
 
 def test_train_aborts_on_numerical_blowup():
