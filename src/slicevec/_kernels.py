@@ -1,64 +1,31 @@
-"""Training kernels: numba-jitted hot loops with a pure-numpy fallback.
+"""Training kernels: the numpy skip-gram loop and its helpers.
 
-Backend selection happens once, at import time, from the environment
-variable ``SLICEVEC_BACKEND``:
-
-* ``numba`` - require numba; fail if it cannot be imported.
-* ``numpy`` - skip numba entirely and use the vectorized numpy loop.
-* ``auto`` (default) - numba when importable, numpy otherwise.
-
-Both backends consume the random stream identically: pair generation and
-negative draws produce bit-identical integer sequences, so the two loops
-train on exactly the same data. Floating-point results differ only at
-rounding level (dot products and row updates accumulate in different
-orders), which means bit-for-bit reproducibility holds per backend, not
-across backends.
+_run_window_numpy runs a window of SGD batches. Each batch takes its pairs
+from _gen_pairs_py and one update from _sgd_batch_numpy; the trainer's
+batch API (generate_batch, sgd_step, neg_sample) calls the same helpers,
+so both paths train on the same stream and make the same bytes.
 
 All mutable loop state crosses the boundary as small numpy arrays:
 ``state`` is a 1-element uint64 array holding the xorshift64* state,
 ``cursor`` is an int64[5] array (piece, position, pending-read index,
 pending count, pending center token) and ``pend`` is an int32 scratch
-buffer of up to window_c context tokens for the current center. The
-integer-stream helpers here must stay in lockstep with the Rng class in
-rng.py; the parity tests pin them together.
+buffer of up to window_c context tokens for the current center.
 
-The numba loops step the stream one value at a time, as Rng does. The
-numpy loop reads it in blocks through rng.BlockRng and works on a whole
-batch per call: every center's Fisher-Yates draws at once, and every
-negative draw at once, repaired after each rejection. Rng stays the
-reference; both numpy helpers also accept a plain Rng.
+The loop reads the random stream in blocks through rng.BlockRng and works
+on a whole batch per call: every center's Fisher-Yates draws at once, and
+every negative draw at once, repaired after each rejection. The draws are
+those of the one-value-at-a-time rng.Rng, which stays the reference; the
+pair and negative helpers also accept a plain Rng.
 """
 
 from __future__ import annotations
-
-import math
-import os
 
 import numpy as np
 
 from .rng import BlockRng, Rng, to_floats
 
-_ENV_VAR = "SLICEVEC_BACKEND"
-_choice = os.environ.get(_ENV_VAR, "auto").lower()
-if _choice not in ("auto", "numba", "numpy"):
-    raise ValueError(f"{_ENV_VAR} must be auto, numba or numpy, not {_choice!r}")
+BACKEND = "numpy"  # the one training engine; run records report it
 
-HAVE_NUMBA = False
-if _choice in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _choice == "numba":
-            raise ImportError(f"{_ENV_VAR}=numba but numba is not importable")
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-# ---------------------------------------------------------------------------
-# pure-python / numpy backend
-
-_INV53 = 2.0 ** -53
 _SCATTER_ELEMENTS = 1 << 14  # matrix elements per 1-D scatter call
 
 
@@ -74,8 +41,8 @@ def _gen_pairs_py(
 
     Every piece needs at least 2 tokens, so each center yields a pair and
     the centers a call needs are known before any value is drawn. rng is an
-    Rng or a BlockRng; the draws are those of the one-center-at-a-time walk
-    (numba twin: _gen_pairs_nb), made for all of the call's centers at once.
+    Rng or a BlockRng; the draws are those of the one-center-at-a-time walk,
+    made for all of the call's centers at once.
     """
     piece, pos, pi, pn, pcen = cursor.tolist()
     size = len(centers)
@@ -140,8 +107,7 @@ def _draw_negatives_py(cdf, rng: Rng | BlockRng, excludes, n_neg):
     finds it. Slots take draws in row order, and a rejected draw moves every
     later slot one draw on; so the slots are checked against the draws once,
     and again from each rejection onward. rng is an Rng or a BlockRng, and
-    consumes exactly the draws used (numba twin: _draw_negative_nb, one slot
-    at a time).
+    consumes exactly the draws used, as one slot at a time would.
     """
     stream = BlockRng.over(rng)
     excl = np.repeat(np.asarray(excludes, dtype=np.int64), n_neg)
@@ -286,211 +252,3 @@ def _run_window_numpy(
         loss_sum += float(losses.sum()) / batch_size
     state[0] = rng.state
     return loss_sum, 0, -1, -1
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-
-if HAVE_NUMBA:
-    # uint64 constants: mixing int64 literals into uint64 expressions would
-    # promote to float64 under numpy casting rules, so everything the RNG
-    # state touches is pinned to uint64 here.
-    _STAR = np.uint64(0x2545F4914F6CDD1D)
-    _SH11 = np.uint64(11)
-    _SH12 = np.uint64(12)
-    _SH25 = np.uint64(25)
-    _SH27 = np.uint64(27)
-
-    @njit(cache=True)
-    def _nb_next_u64(state):
-        x = state[0]
-        x ^= x >> _SH12
-        x ^= x << _SH25
-        x ^= x >> _SH27
-        state[0] = x
-        return x * _STAR
-
-    @njit(cache=True)
-    def _nb_next_float(state):
-        return (_nb_next_u64(state) >> _SH11) * _INV53
-
-    @njit(cache=True)
-    def _nb_below(state, n):
-        if n <= 1:
-            return np.int64(0)
-        return np.int64(_nb_next_u64(state) % np.uint64(n))
-
-    @njit(cache=True)
-    def _gen_pairs_nb(
-        tokens, starts, ends, state, cursor, pend, centers, ctxs, half_window, num_skips
-    ):
-        n_pieces = len(starts)
-        piece = cursor[0]
-        pos = cursor[1]
-        pi = cursor[2]
-        pn = cursor[3]
-        pcen = cursor[4]
-        avail = np.empty(2 * half_window, np.int64)
-        for b in range(len(centers)):
-            while pi >= pn:
-                start = starts[piece]
-                length = ends[piece] - start
-                lo = pos - half_window
-                if lo < 0:
-                    lo = 0
-                hi = pos + half_window
-                if hi > length - 1:
-                    hi = length - 1
-                m = 0
-                for q in range(lo, hi + 1):
-                    if q != pos:
-                        avail[m] = q
-                        m += 1
-                kk = num_skips if num_skips < m else m
-                for i in range(kk):
-                    j = i + _nb_below(state, m - i)
-                    tmp = avail[i]
-                    avail[i] = avail[j]
-                    avail[j] = tmp
-                    pend[i] = tokens[start + avail[i]]
-                pcen = tokens[start + pos]
-                pi = 0
-                pn = kk
-                pos += 1
-                if pos >= length:
-                    pos = 0
-                    piece += 1
-                    if piece >= n_pieces:
-                        piece = 0
-            centers[b] = pcen
-            ctxs[b] = pend[pi]
-            pi += 1
-        cursor[0] = piece
-        cursor[1] = pos
-        cursor[2] = pi
-        cursor[3] = pn
-        cursor[4] = pcen
-
-    @njit(cache=True)
-    def _draw_negative_nb(cdf, state, exclude):
-        n = len(cdf)
-        while True:
-            u = _nb_next_float(state)
-            lo = 0
-            hi = n - 1
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if u < cdf[mid]:
-                    hi = mid
-                else:
-                    lo = mid + 1
-            if lo != exclude:
-                return lo
-
-    @njit(cache=True)
-    def _run_window_nb(
-        tokens,
-        starts,
-        ends,
-        inp,
-        out,
-        cdf,
-        state,
-        cursor,
-        pend,
-        n_batches,
-        batch_size,
-        half_window,
-        num_skips,
-        n_neg,
-        lr,
-        start_step,
-    ):
-        dims = inp.shape[1]
-        centers = np.empty(batch_size, np.int32)
-        ctxs = np.empty(batch_size, np.int32)
-        negs = np.empty((batch_size, n_neg), np.int32)
-        cen0 = np.empty((batch_size, dims), np.float64)
-        ctx0 = np.empty((batch_size, dims), np.float64)
-        neg0 = np.empty((batch_size, n_neg, dims), np.float64)
-        g_pos = np.empty(batch_size, np.float64)
-        g_neg = np.empty((batch_size, n_neg), np.float64)
-        loss_sum = 0.0
-        for step in range(n_batches):
-            _gen_pairs_nb(
-                tokens, starts, ends, state, cursor, pend, centers, ctxs,
-                half_window, num_skips,
-            )
-            for p in range(batch_size):
-                exclude = ctxs[p]
-                for j in range(n_neg):
-                    negs[p, j] = _draw_negative_nb(cdf, state, exclude)
-            # snapshot the touched rows so every gradient in the batch is
-            # evaluated against the batch-start matrices
-            for p in range(batch_size):
-                c = centers[p]
-                t = ctxs[p]
-                for d in range(dims):
-                    cen0[p, d] = inp[c, d]
-                    ctx0[p, d] = out[t, d]
-                for j in range(n_neg):
-                    nrow = negs[p, j]
-                    for d in range(dims):
-                        neg0[p, j, d] = out[nrow, d]
-            batch_loss = 0.0
-            for p in range(batch_size):
-                dot = 0.0
-                for d in range(dims):
-                    dot += cen0[p, d] * ctx0[p, d]
-                g_pos[p] = 0.5 * (math.tanh(0.5 * dot) + 1.0) - 1.0
-                if dot >= 0.0:
-                    pair_loss = math.log1p(math.exp(-dot))
-                else:
-                    pair_loss = -dot + math.log1p(math.exp(dot))
-                for j in range(n_neg):
-                    dn = 0.0
-                    for d in range(dims):
-                        dn += cen0[p, d] * neg0[p, j, d]
-                    g_neg[p, j] = 0.5 * (math.tanh(0.5 * dn) + 1.0)
-                    if dn <= 0.0:
-                        pair_loss += math.log1p(math.exp(dn))
-                    else:
-                        pair_loss += dn + math.log1p(math.exp(-dn))
-                if not math.isfinite(pair_loss):
-                    return loss_sum, 1, start_step + step, p
-                batch_loss += pair_loss
-            loss_sum += batch_loss / batch_size
-            # one SGD step on the batch's mean pair loss: input rows first,
-            # then output rows, in pair order
-            scale = lr / batch_size
-            for p in range(batch_size):
-                c = centers[p]
-                for d in range(dims):
-                    g = g_pos[p] * ctx0[p, d]
-                    for j in range(n_neg):
-                        g += g_neg[p, j] * neg0[p, j, d]
-                    inp[c, d] -= scale * g
-            for p in range(batch_size):
-                t = ctxs[p]
-                for d in range(dims):
-                    out[t, d] -= scale * (g_pos[p] * cen0[p, d])
-                for j in range(n_neg):
-                    nrow = negs[p, j]
-                    for d in range(dims):
-                        out[nrow, d] -= scale * (g_neg[p, j] * cen0[p, d])
-        return loss_sum, 0, -1, -1
-
-else:
-    _run_window_nb = None
-    _gen_pairs_nb = None
-    _draw_negative_nb = None
-    _nb_next_u64 = None
-    _nb_next_float = None
-    _nb_below = None
-
-
-def run_window(*args):
-    """Dispatch one telemetry window of batches to the selected backend."""
-    if BACKEND == "numba":
-        return _run_window_nb(*args)
-    return _run_window_numpy(*args)

@@ -25,7 +25,6 @@ PC_OF_NAME = {
     "C": 0, "G": 7, "D": 2, "A": 9, "E": 4, "B": 11,
     "F#": 6, "Db": 1, "Ab": 8, "Eb": 3, "Bb": 10, "F": 5,
 }
-NAME_OF_PC = {pc: name for name, pc in PC_OF_NAME.items()}
 
 MAJOR = "major"
 MINOR = "minor"

@@ -13,7 +13,7 @@ import sys
 from dataclasses import fields
 
 from . import analysis, generator, synth
-from .config import ConfigError, PipelineConfig, parse_bool, resolve_config
+from .config import VALUE_PARSERS, ConfigError, PipelineConfig, resolve_config
 from .embedding import EmbeddingSpace, load_embedding, save_embedding
 from .midi import MidiParseError, parse_midi
 from .slicer import (
@@ -48,10 +48,9 @@ class _Parser(argparse.ArgumentParser):
 def _config_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--config", default=None, help="config file (key = value lines)")
-    types = {"str": str, "int": int, "float": float, "bool": parse_bool}
     for f in fields(PipelineConfig):
         flag = "--" + f.name.replace("_", "-")
-        parent.add_argument(flag, default=None, type=types[f.type], dest=f.name)
+        parent.add_argument(flag, default=None, type=VALUE_PARSERS[f.type], dest=f.name)
     return parent
 
 

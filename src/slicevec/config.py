@@ -27,6 +27,10 @@ def parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+# PipelineConfig field type name -> parser of a flag or config-file value
+VALUE_PARSERS = {"str": str, "int": int, "float": float, "bool": parse_bool}
+
+
 @dataclass
 class PipelineConfig:
     """Every knob the CLI exposes, with the reference defaults."""
@@ -98,13 +102,12 @@ def resolve_config(
         file_values = load_config_file(config_path)
 
     field_types = {f.name: f.type for f in fields(PipelineConfig)}
-    parsers = {"str": str, "int": int, "float": float, "bool": parse_bool}
     merged: dict[str, object] = {}
     for key, raw in file_values.items():
         if key not in field_types:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            merged[key] = parsers[field_types[key]](raw)
+            merged[key] = VALUE_PARSERS[field_types[key]](raw)
         except ConfigError:
             raise
         except ValueError:

@@ -14,6 +14,7 @@ round-trip decimal form, one token per line:
 from __future__ import annotations
 
 import math
+import os
 from typing import Sequence
 
 import numpy as np
@@ -163,6 +164,10 @@ def save_embedding(path: str, space: EmbeddingSpace) -> None:
 def load_embedding(path: str) -> EmbeddingSpace:
     with open(path, "r", encoding="ascii") as fh:
         size, dims = read_cache_header(fh, path, EMBEDDING_MAGIC, FORMAT_VERSION, 2)
+        # every value on a vector line takes at least 2 bytes (itself and a
+        # separator), so a header counting more cannot be this file's
+        if 2 * size * (dims + 1) > os.fstat(fh.fileno()).st_size:
+            raise ValueError(f"{path}: header counts {size} x {dims} exceed the file's size")
         forms = []
         vectors = np.empty((size, dims), dtype=np.float64)
         for i in range(size):

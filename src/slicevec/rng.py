@@ -1,11 +1,9 @@
 """Deterministic 64-bit PRNG used by training.
 
 xorshift64* seeded through one round of splitmix64. ``Rng`` is the reference:
-plain Python ints masked to 64 bits, one value per call. The numba kernels
-step the same stream on uint64, and the numpy trainer draws it a block at a
-time through ``BlockRng``; all three produce bit-identical streams, which
-keeps batch contents and negative samples independent of the compute
-backend. Any change here must be mirrored in ``_kernels.py``.
+plain Python ints masked to 64 bits, one value per call. The trainer draws
+the same stream a block at a time through ``BlockRng``, bit for bit, so a
+batch's contents and negative samples are those of the one-value walk.
 
 xorshift64* updates its state by a linear map over GF(2) (Marsaglia 2003,
 "Xorshift RNGs"; Vigna 2016, arXiv:1402.6246), so the state k steps ahead is

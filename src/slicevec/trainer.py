@@ -277,7 +277,7 @@ def train(
 
     Average loss is recorded every config.loss_every batches (partial
     trailing windows are not recorded). The run is deterministic given the
-    seed and the backend.
+    seed.
     """
     _validate_corpus(corpus, vocab)
     if vocab.size < 2:
@@ -293,7 +293,7 @@ def train(
     remaining = config.steps
     while remaining > 0:
         chunk = min(config.loss_every, remaining)
-        loss_sum, status, abort_step, abort_pair = _kernels.run_window(
+        loss_sum, status, abort_step, abort_pair = _kernels._run_window_numpy(
             cursor.tokens,
             cursor.starts,
             cursor.ends,

@@ -213,3 +213,13 @@ def test_analyze_rejects_trailing_embedding_line(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("data error:") and err.count("\n") == 1
+
+
+def test_analyze_rejects_embedding_header_beyond_file_size(capsys):
+    # 38 bytes whose header counts 10^14 values: refused before any allocation
+    with open("embedding.txt", "w") as fh:
+        fh.write("SLICEVEC v1 10000000 10000000\nUNK 1.0\n")
+    rc = main(["analyze", "chords"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1

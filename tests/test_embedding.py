@@ -234,6 +234,17 @@ def test_load_rejects_trailing_line_and_negative_counts(tmp_path):
             load_embedding(str(path))
 
 
+def test_load_refuses_header_counts_the_file_cannot_hold(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("SLICEVEC v1 10000000 10000000\nUNK 1.0\n")
+    with pytest.raises(ValueError, match="exceed the file's size"):
+        load_embedding(str(path))
+    # one-byte values and no final newline: the smallest file a header allows
+    path.write_text("SLICEVEC v1 2 1\nUNK 1\n0 2")
+    space = load_embedding(str(path))
+    assert space.size == 2 and space.vector(1).tolist() == [2.0]
+
+
 def test_space_validation():
     with pytest.raises(ValueError, match="2-D"):
         EmbeddingSpace(["0"], np.zeros(3))

@@ -1,4 +1,4 @@
-"""PRNG reference vectors, distribution sanity, block-stream and numba twin parity."""
+"""PRNG reference vectors, distribution sanity, and BlockRng parity with the reference Rng."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from slicevec import _kernels
 from slicevec.rng import (
     GOLDEN,
     MASK64,
@@ -17,10 +16,6 @@ from slicevec.rng import (
     Rng,
     seed_to_state,
     splitmix64,
-)
-
-needs_numba = pytest.mark.skipif(
-    _kernels.BACKEND != "numba", reason="numba backend not active"
 )
 
 # Published splitmix64 stream for seed 1234567 (state += golden per draw).
@@ -210,32 +205,3 @@ def test_block_stream_follows_direct_steps_of_its_rng():
 def test_block_stream_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         BlockRng(Rng(4)).below(np.array([3, 0], dtype=np.uint64))
-
-
-@needs_numba
-def test_numba_u64_twin_matches_python():
-    for seed in (1, 2, 0xDEADBEEF, 2**63 + 11):
-        rng = Rng(seed)
-        state = np.array([Rng(seed).state], dtype=np.uint64)
-        for _ in range(2000):
-            assert int(_kernels._nb_next_u64(state)) == rng.next_u64()
-        assert int(state[0]) == rng.state
-
-
-@needs_numba
-def test_numba_float_twin_matches_python():
-    rng = Rng(31)
-    state = np.array([Rng(31).state], dtype=np.uint64)
-    for _ in range(2000):
-        assert float(_kernels._nb_next_float(state)) == rng.next_float()
-
-
-@needs_numba
-def test_numba_below_twin_matches_python():
-    rng = Rng(55)
-    state = np.array([Rng(55).state], dtype=np.uint64)
-    ns = [1, 2, 3, 4, 7, 12, 100, 1, 1, 64]
-    for _ in range(300):
-        for n in ns:
-            assert int(_kernels._nb_below(state, n)) == rng.below(n)
-    assert int(state[0]) == rng.state
