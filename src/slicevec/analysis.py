@@ -195,16 +195,29 @@ def key_similarity_matrix(
     if not pieces:
         raise ValueError(f"no {mode} pieces to analyze")
     roots = [PC_OF_NAME[name] for name in CIRCLE_OF_FIFTHS]
+    # row s of shifted_rows: the space row of distinct slice s transposed by
+    # 0..11 semitones, -1 out of vocabulary. Gathering a piece's rows from it
+    # gives piece_centroid(space, transpose_piece(...)) its rows, in order.
+    index: dict[Slice, int] = {}
+    pieces_ids = [
+        np.array([index.setdefault(s, len(index)) for s in slices], dtype=np.intp)
+        for slices, _ in pieces
+    ]
+    row_of = {form: row for row, form in enumerate(space.forms)}
+    shifted_rows = np.array(
+        [[row_of.get(s.transpose(k).form, -1) for k in range(12)] for s in index],
+        dtype=np.intp,
+    ).reshape(-1, 12)
     total = np.zeros((12, 12), dtype=np.float64)
     used = 0
-    for idx, (slices, piece_root) in enumerate(pieces):
+    for idx, (ids, (_, piece_root)) in enumerate(zip(pieces_ids, pieces)):
         centroids = []
         for target in roots:
-            version = transpose_piece(slices, (target - piece_root) % 12)
-            centroid, n_used = piece_centroid(space, version)
-            if centroid is None:
+            rows = shifted_rows[ids, (target - piece_root) % 12]
+            rows = rows[rows >= 0]
+            if not len(rows):
                 break
-            centroids.append(centroid)
+            centroids.append(space.vectors[rows].mean(axis=0))
         if len(centroids) < 12:
             warnings.warn(
                 f"piece {idx}: a transposition has no in-vocabulary slices; "

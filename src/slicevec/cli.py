@@ -88,14 +88,17 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_midi_dir(directory: str) -> list[tuple[str, object]]:
-    """Parse every .mid/.midi file; returns (path, MidiPiece), skipping bad files."""
+def _midi_paths(directory: str) -> list[str]:
     if not os.path.isdir(directory):
         raise DataError(f"not a directory: {directory}")
-    paths = sorted(
+    return sorted(
         glob.glob(os.path.join(directory, "*.mid"))
         + glob.glob(os.path.join(directory, "*.midi"))
     )
+
+
+def _parse_midi_files(paths: list[str]) -> list[tuple[str, object]]:
+    """(path, MidiPiece) for each file that parses; the others are skipped."""
     parsed = []
     for path in paths:
         try:
@@ -105,13 +108,13 @@ def _load_midi_dir(directory: str) -> list[tuple[str, object]]:
             print(f"skipping {path}: {exc}", file=sys.stderr)
             continue
         parsed.append((path, piece))
-    if not parsed:
-        raise DataError(f"no parseable MIDI files in {directory}")
     return parsed
 
 
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
-    parsed = _load_midi_dir(cfg.corpus_dir)
+    parsed = _parse_midi_files(_midi_paths(cfg.corpus_dir))
+    if not parsed:
+        raise DataError(f"no parseable MIDI files in {cfg.corpus_dir}")
     pieces = [slices_from_piece(piece) for _, piece in parsed]
     unclosed = sum(piece.unclosed_notes for _, piece in parsed)
     if unclosed:
@@ -244,16 +247,19 @@ def _analyze_chords(args, space: EmbeddingSpace, out: str) -> int:
 
 def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) -> int:
     pieces_dir = args.pieces_dir or cfg.corpus_dir
-    parsed = _load_midi_dir(pieces_dir)
-    labeled = []
-    for path, piece in parsed:
+    root_of = {}  # only files named for the requested mode are opened
+    for path in _midi_paths(pieces_dir):
         try:
             root, mode = synth.parse_key_filename(path)
         except ValueError as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
             continue
         if mode == args.mode:
-            labeled.append((slices_from_piece(piece), root))
+            root_of[path] = root
+    labeled = [
+        (slices_from_piece(piece), root_of[path])
+        for path, piece in _parse_midi_files(list(root_of))
+    ]
     if not labeled:
         raise DataError(f"no {args.mode} pieces with key-labeled filenames in {pieces_dir}")
     try:

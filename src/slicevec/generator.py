@@ -122,11 +122,17 @@ class BeatDiagnostic:
 def rewrite_piece(
     slices: Sequence[Slice], space: EmbeddingSpace, config: GeneratorConfig
 ) -> tuple[list[Slice], list[BeatDiagnostic]]:
-    """Element-wise substitution; returns new slices plus per-beat diagnostics."""
+    """Element-wise substitution; returns new slices plus per-beat diagnostics.
+
+    substitute_slice is pure, so each distinct slice is substituted once.
+    """
     out = []
     diagnostics = []
+    substitution_of: dict[Slice, Substitution] = {}
     for beat, s in enumerate(slices):
-        sub = substitute_slice(s, space, config)
+        sub = substitution_of.get(s)
+        if sub is None:
+            sub = substitution_of[s] = substitute_slice(s, space, config)
         out.append(sub.result)
         diagnostics.append(
             BeatDiagnostic(beat, s.form, sub.result.form, sub.distance, config.top_n)

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 
 PERCUSSION_CHANNEL = 9
 
+# Longest piece parse_midi accepts, in beats: about 1,000 times the longest
+# piece the pipeline is built for. Slicing allocates per beat, so a few bytes
+# of delta time must not be able to ask for gigabytes.
+MAX_BEATS = 1 << 18
+
 # data-byte counts for channel messages, by upper status nibble
 _CHANNEL_DATA_BYTES = {
     0x80: 2,  # note off
@@ -187,7 +192,8 @@ def parse_midi(data: bytes) -> MidiPiece:
     Every note-on with a matching note-off (or note-on at velocity 0) becomes
     one NoteEvent; percussion-channel events are discarded; a note-on left
     open at end of track is closed there and counted in ``unclosed_notes``.
-    The grid's ticks_per_beat is the header PPQ value.
+    The grid's ticks_per_beat is the header PPQ value. A piece whose last
+    note ends after MAX_BEATS beats is refused.
     """
     if len(data) < 14:
         raise MidiParseError("file shorter than an SMF header (byte 0)")
@@ -230,6 +236,11 @@ def parse_midi(data: bytes) -> MidiPiece:
     if events:
         last_tick = max(e.offset_ticks for e in events)
         length_beats = -(-last_tick // division)  # ceil
+        if length_beats > MAX_BEATS:
+            raise MidiParseError(
+                f"last note ends at tick {last_tick}, beat {length_beats}, "
+                f"beyond the {MAX_BEATS}-beat limit"
+            )
     else:
         length_beats = 0
     return MidiPiece(events, BeatGrid(division, length_beats), unclosed)

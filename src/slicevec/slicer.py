@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .midi import MidiPiece, sounding_pitches
+from .midi import MidiPiece
 
 UNK_FORM = "UNK"
 REST_FORM = "R"
@@ -34,7 +35,7 @@ class Slice:
         if any(pcs[i] >= pcs[i + 1] for i in range(len(pcs) - 1)):
             raise ValueError(f"pitch classes {pcs} not strictly ascending")
 
-    @property
+    @cached_property
     def form(self) -> str:
         """Canonical text form: "0.4.7" for a C major triad, "R" when empty."""
         if not self.pitch_classes:
@@ -63,12 +64,36 @@ def make_slice(pitches: Iterable[int]) -> Slice:
     return Slice(tuple(sorted({p % 12 for p in pitches})))
 
 
+@cache  # at most 4096 masks: every piece shares one Slice per pitch-class set
+def _slice_of_mask(mask: int) -> Slice:
+    return Slice(tuple(pc for pc in range(12) if mask >> pc & 1))
+
+
 def slices_from_piece(piece: MidiPiece) -> list[Slice]:
-    """One slice per beat of the piece, in beat order."""
-    return [
-        make_slice(sounding_pitches(piece.events, piece.grid, beat))
-        for beat in range(piece.grid.piece_length_beats)
-    ]
+    """One slice per beat of the piece, in beat order.
+
+    Beat b holds the pitch classes of the notes whose [onset, offset)
+    intersects its ticks, as in midi.sounding_pitches. A note sounds from
+    beat onset // tpb up to, not including, beat (offset - 1) // tpb + 1; a
+    per-pitch-class difference array over those bounds, summed along the
+    beats, gives every beat's classes at once.
+    """
+    n = piece.grid.piece_length_beats
+    tpb = piece.grid.ticks_per_beat
+    width = n + 1  # column n absorbs notes that start or end past the grid
+    notes = np.array(
+        [(e.pitch % 12, e.onset_ticks, e.offset_ticks - 1) for e in piece.events],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    row = notes[:, 0] * width
+    first = np.clip(notes[:, 1] // tpb, 0, n)
+    stop = np.clip(notes[:, 2] // tpb + 1, 0, n)
+    diff = np.bincount(row + first, minlength=12 * width) - np.bincount(
+        row + stop, minlength=12 * width
+    )
+    sounding = np.cumsum(diff.reshape(12, width)[:, :n], axis=1) > 0
+    masks = (1 << np.arange(12)) @ sounding
+    return [_slice_of_mask(m) for m in masks.tolist()]
 
 
 class Vocabulary:
@@ -224,14 +249,16 @@ def check_cache_end(fh, path: str, n_lines: int) -> None:
 
 
 def load_corpus(path: str) -> list[list[Slice]]:
+    """The cached pieces; every occurrence of a form is the same Slice."""
     with open(path, "r", encoding="ascii") as fh:
         (n_pieces,) = read_cache_header(fh, path, CORPUS_MAGIC, FORMAT_VERSION, 1)
+        slice_of = cache(Slice.from_form)
         pieces = []
         for i in range(n_pieces):
             line = fh.readline()
             if not line:
                 raise ValueError(f"{path}: expected {n_pieces} pieces, found {i}")
-            pieces.append([Slice.from_form(form) for form in line.split()])
+            pieces.append([slice_of(form) for form in line.split()])
         check_cache_end(fh, path, n_pieces)
     return pieces
 

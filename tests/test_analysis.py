@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from slicevec.analysis import (
     realize_role,
     transpose_piece,
 )
-from slicevec.embedding import EmbeddingSpace
+from slicevec.embedding import EmbeddingSpace, cosine_distance
 from slicevec.slicer import Slice
 
 # independent statement of the role table: semitone offsets of each chord
@@ -242,6 +244,58 @@ def test_key_similarity_excludes_uncovered_piece():
         mat = key_similarity_matrix(space, [good, bad], "major")
     alone = key_similarity_matrix(space, [good], "major")
     assert np.array_equal(mat.values, alone.values)
+
+
+def _per_transposition_key_values(space, pieces):
+    """The reference: transpose every piece and take each centroid anew."""
+    roots = [PC_OF_NAME[name] for name in CIRCLE_OF_FIFTHS]
+    total = np.zeros((12, 12))
+    used = 0
+    for slices, piece_root in pieces:
+        cents = [
+            piece_centroid(space, transpose_piece(slices, (target - piece_root) % 12))[0]
+            for target in roots
+        ]
+        if any(c is None for c in cents):
+            continue
+        for i in range(12):
+            for j in range(i + 1, 12):
+                d = cosine_distance(cents[i], cents[j])
+                total[i, j] += d
+                total[j, i] += d
+        used += 1
+    values = total / used
+    np.fill_diagonal(values, 0.0)
+    return values
+
+
+def test_key_similarity_matrix_equals_per_transposition_reference():
+    rnd = random.Random(21)
+    gen = np.random.default_rng(21)
+    triads = [_triad_form(r, q) for q in ("major", "minor") for r in range(12)]
+    others = {Slice(tuple(sorted(rnd.sample(range(12), rnd.randrange(1, 5))))).form
+              for _ in range(60)} - set(triads)
+    forms = ["UNK", "R"] + triads + sorted(others)
+    space = EmbeddingSpace(forms, gen.standard_normal((len(forms), 9)))
+    pool = [Slice.from_form(f) for f in triads + sorted(others)] + [Slice(())]
+    pool += [Slice((0, 1, 2, 3, 4, 5)), Slice((1, 6))]  # out of vocabulary
+    pieces = []
+    for _ in range(7):
+        # a triad keeps every transposition in vocabulary
+        motif = rnd.sample(pool, 5) + [Slice.from_form(rnd.choice(triads))]
+        slices = [rnd.choice(motif) for _ in range(rnd.randrange(10, 60))] + motif[-1:]
+        pieces.append((slices, rnd.randrange(12)))
+    # in vocabulary only as played: every other transposition is lost to UNK
+    lonely = Slice((0, 1, 2, 3, 4, 5, 6))
+    space = EmbeddingSpace(
+        forms + [lonely.form], np.vstack([space.vectors, gen.standard_normal((1, 9))])
+    )
+    pieces.insert(3, ([lonely, lonely], 2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mat = key_similarity_matrix(space, pieces, "major")
+    assert [str(w.message).split(":")[0] for w in caught] == ["piece 3"]
+    assert np.array_equal(mat.values, _per_transposition_key_values(space, pieces))
 
 
 def test_key_similarity_error_cases():

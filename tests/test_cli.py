@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -141,6 +142,45 @@ def test_bad_midi_input_exits_2(capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_piece_beyond_the_beat_limit_is_a_data_error(capsys):
+    # PPQ 1, one note from tick 2^28 - 2 to 2^28 - 1: 268,435,455 beats
+    far = bytes.fromhex("4d546864000000060000000100014d54726b0000000f"
+                        "ffffff7e903c4001803c0000ff2f00")
+    main(["synth", "--out-dir", "midi", "--keys", "C", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "2"])
+    with open("midi/far.mid", "wb") as fh:
+        fh.write(far)
+    capsys.readouterr()
+    assert main(["ingest", "--corpus-dir", "midi", "--vocab-size", "50"]) == 0
+    skipped = [line for line in capsys.readouterr().err.splitlines() if "far.mid" in line]
+    assert len(skipped) == 1 and skipped[0].startswith("skipping")
+    main(["train", "--dims", "8", "--steps", "50", "--loss-every", "50",
+          "--batch-size", "16"])
+    capsys.readouterr()
+    rc = main(["generate", "--midi-in", "midi/far.mid", "--midi-out", "y.mid"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("data error:") and err.count("\n") == 1
+    assert not os.path.exists("y.mid")
+
+
+def test_keys_analysis_opens_only_the_requested_mode(capsys):
+    main(["synth", "--out-dir", "midi", "--keys", "all", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "4"])
+    main(["ingest", "--corpus-dir", "midi", "--vocab-size", "150"])
+    main(["train", "--dims", "8", "--steps", "50", "--loss-every", "50",
+          "--batch-size", "16"])
+    with open("midi/D_minor_00.mid", "wb") as fh:
+        fh.write(b"not midi")
+    capsys.readouterr()
+    assert main(["analyze", "keys", "--pieces-dir", "midi", "--mode", "major"]) == 0
+    assert "skipping" not in capsys.readouterr().err
+    assert main(["analyze", "keys", "--pieces-dir", "midi", "--mode", "minor"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("skipping") and "D_minor_00.mid" in err[0]
+    assert err[1] == "data error: no minor pieces with key-labeled filenames in midi"
+
+
 def test_keys_analysis_requires_labeled_files(capsys):
     main(["synth", "--out-dir", "midi", "--keys", "C", "--modes", "major",
           "--pieces-per-key", "1", "--bars", "2"])
@@ -223,3 +263,45 @@ def test_analyze_rejects_embedding_header_beyond_file_size(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("data error:") and err.count("\n") == 1
+
+
+# sha256 of the outputs of a small two-mode pipeline. Slicing, the key matrix
+# and substitution have faster paths than the per-beat reference code; these
+# digests were taken from that reference code and pin its bytes.
+_GOLDEN_SHA256 = {
+    "corpus.txt":
+        "32a77bddc1f77f5ac01876f4bcbef63b6d2915eea35b2e2a9003f18225f14afd",
+    "vocab.txt":
+        "fccb9406b8c57a86c94f36fcfa64ec208e05a2989b77c1723aaba7f0d2235fd6",
+    "keys_major.csv":
+        "43f9544700293bffb233898a997ad44fe6165dd6a81df04c2f210193244b8111",
+    "keys_minor.csv":
+        "e59a9b893ff17240ed9cfd753983f45aed0ab0f55c4797a8ab1ed4613baca6a3",
+    "diag.csv":
+        "98db57aea4f7f7cbbd5a58291d815767e031ca52052075dbbea58d4953703a92",
+    "out.mid":
+        "f92abb2131d0fdacf7593d3e3195188992a446ff672e6c11d515a0f269bdbafd",
+}
+
+
+def test_pipeline_outputs_keep_their_bytes(capsys):
+    steps = [
+        ["synth", "--out-dir", "midi", "--keys", "C,G,A,E", "--modes", "major,minor",
+         "--pieces-per-key", "2", "--bars", "8", "--seed", "4"],
+        ["ingest", "--corpus-dir", "midi", "--vocab-size", "60"],
+        ["train", "--dims", "16", "--steps", "150", "--loss-every", "50",
+         "--batch-size", "32", "--seed", "5"],
+        ["analyze", "keys", "--pieces-dir", "midi", "--out", "keys_major.csv"],
+        ["analyze", "keys", "--pieces-dir", "midi", "--mode", "minor",
+         "--out", "keys_minor.csv"],
+        ["generate", "--midi-in", "midi/A_minor_01.mid", "--midi-out", "out.mid",
+         "--diagnostics", "diag.csv", "--top-n", "4"],
+    ]
+    for argv in steps:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256(open(name, "rb").read()).hexdigest()
+        for name in _GOLDEN_SHA256
+    }
+    assert digests == _GOLDEN_SHA256

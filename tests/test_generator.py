@@ -11,6 +11,7 @@ import pytest
 
 from slicevec.embedding import EmbeddingSpace
 from slicevec.generator import (
+    BeatDiagnostic,
     GeneratorConfig,
     Substitution,
     emit_midi,
@@ -223,6 +224,26 @@ def test_rewrite_piece_diagnostics():
     assert diags[0].cosine_distance is not None
     assert diags[1].substitute == "1.2" and diags[1].cosine_distance is None
     assert all(d.top_n == 2 for d in diags)
+
+
+def test_rewrite_piece_equals_per_beat_substitution():
+    rnd = random.Random(31)
+    gen = np.random.default_rng(31)
+    forms = ["UNK", "R"] + sorted(
+        {Slice(tuple(sorted(rnd.sample(range(12), rnd.randrange(1, 5))))).form for _ in range(40)}
+    )
+    space = EmbeddingSpace(forms, gen.standard_normal((len(forms), 8)))
+    motif = [Slice.from_form(f) for f in rnd.sample(forms[1:], 7)] + [Slice((0, 1, 2, 3, 4))]
+    piece = [rnd.choice(motif) for _ in range(120)]  # repeats, rests and one OOV slice
+    config = GeneratorConfig(top_n=4)
+    out, diags = rewrite_piece(piece, space, config)
+    subs = [substitute_slice(s, space, config) for s in piece]
+    assert out == [sub.result for sub in subs]
+    assert diags == [
+        BeatDiagnostic(beat, s.form, sub.result.form, sub.distance, 4)
+        for beat, (s, sub) in enumerate(zip(piece, subs))
+    ]
+    assert len(set(piece)) < len(piece)
 
 
 def test_save_diagnostics_csv(tmp_path):

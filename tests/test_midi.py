@@ -8,6 +8,7 @@ import struct
 import pytest
 
 from slicevec.midi import (
+    MAX_BEATS,
     BeatGrid,
     MidiParseError,
     NoteEvent,
@@ -187,6 +188,29 @@ def test_unsupported_status_rejected():
     body = bytes([0x00, 0xF1, 0x00])
     with pytest.raises(MidiParseError, match="unsupported status"):
         parse_midi(header(0, 1, 96) + track(body))
+
+
+def far_note_file() -> bytes:
+    """37 bytes, PPQ 1: one note from tick 2^28 - 2 to 2^28 - 1."""
+    body = _write_varlen((1 << 28) - 2) + bytes([0x90, 60, 64, 0x01, 0x80, 60, 0]) + EOT
+    return header(0, 1, 1) + track(body)
+
+
+def test_piece_longer_than_max_beats_is_refused():
+    data = far_note_file()
+    assert len(data) == 37
+    with pytest.raises(MidiParseError, match="beat limit"):
+        parse_midi(data)
+
+
+def test_max_beats_counts_across_tracks():
+    def note_until(tick: int) -> bytes:
+        return track(_write_varlen(tick - 1) + bytes([0x90, 60, 64, 0x01, 0x80, 60, 0]) + EOT)
+
+    at_limit = parse_midi(header(1, 2, 2) + note_until(4) + note_until(2 * MAX_BEATS))
+    assert at_limit.grid == BeatGrid(2, MAX_BEATS)
+    with pytest.raises(MidiParseError, match="beat limit"):
+        parse_midi(header(1, 2, 2) + note_until(4) + note_until(2 * MAX_BEATS + 1))
 
 
 def test_varlen_round_trip():

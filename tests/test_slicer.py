@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from slicevec.midi import BeatGrid, MidiPiece, NoteEvent
+from slicevec.midi import BeatGrid, MidiPiece, NoteEvent, sounding_pitches
 from slicevec.slicer import (
     EncodedCorpus,
     Slice,
@@ -87,6 +87,63 @@ def test_slices_from_piece():
     piece = MidiPiece(events, BeatGrid(10, 4))
     forms = [s.form for s in slices_from_piece(piece)]
     assert forms == ["0", "0.7", "R", "4"]
+
+
+def _per_beat_slices(piece):
+    """The reference: scan every event for every beat."""
+    return [
+        make_slice(sounding_pitches(piece.events, piece.grid, beat))
+        for beat in range(piece.grid.piece_length_beats)
+    ]
+
+
+def test_slices_from_piece_matches_per_beat_oracle():
+    rnd = random.Random(12)
+    for trial in range(300):
+        tpb = rnd.choice((1, 2, 3, 4, 8))
+        events = []
+        for _ in range(rnd.randrange(0, 14)):
+            onset = rnd.randrange(0, 12 * tpb)
+            kind = rnd.randrange(4)
+            if kind == 0:  # ends on a beat boundary
+                offset = (onset // tpb + rnd.randrange(1, 4)) * tpb
+            elif kind == 1:  # held for many beats
+                offset = onset + rnd.randrange(6 * tpb, 20 * tpb)
+            else:  # ends anywhere, often across a boundary
+                offset = onset + rnd.randrange(1, 3 * tpb + 1)
+            pitch = rnd.randrange(36, 84)
+            events.append(NoteEvent(pitch, onset, offset, 0))
+            if rnd.random() < 0.3:  # the same class an octave away, overlapping
+                other = pitch + 12 if pitch < 72 else pitch - 12
+                start = onset + rnd.randrange(0, offset - onset)
+                events.append(NoteEvent(other, start, offset + rnd.randrange(0, 2 * tpb), 0))
+        events.sort(key=lambda e: e.onset_ticks)
+        full = max((-(-e.offset_ticks // tpb) for e in events), default=0)
+        # the parsed length, and grids that stop short of or run past the notes
+        n_beats = rnd.choice(
+            (full, full, rnd.randrange(0, full + 1), full + rnd.randrange(1, 4))
+        )
+        piece = MidiPiece(events, BeatGrid(tpb, n_beats))
+        assert slices_from_piece(piece) == _per_beat_slices(piece), trial
+
+
+def test_slices_from_piece_without_events_or_beats():
+    assert slices_from_piece(MidiPiece([], BeatGrid(4, 3))) == [Slice(())] * 3
+    assert slices_from_piece(MidiPiece([], BeatGrid(4, 0))) == []
+    held = [NoteEvent(60, 0, 8, 0)]
+    assert slices_from_piece(MidiPiece(held, BeatGrid(4, 0))) == []
+
+
+def test_equal_slices_are_one_object(tmp_path):
+    piece = MidiPiece([NoteEvent(60, 0, 8, 0), NoteEvent(72, 8, 12, 0)], BeatGrid(4, 4))
+    slices = slices_from_piece(piece)
+    assert [s.form for s in slices] == ["0", "0", "0", "R"]
+    assert slices[0] is slices[1] is slices[2]
+    path = str(tmp_path / "corpus.txt")
+    save_corpus(path, [slices, slices])
+    loaded = load_corpus(path)
+    assert loaded == [slices, slices]
+    assert loaded[0][0] is loaded[0][1] is loaded[1][2]
 
 
 def test_vocabulary_ranking_matches_counting_oracle():
