@@ -256,12 +256,17 @@ def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) ->
             continue
         if mode == args.mode:
             root_of[path] = root
+    if not root_of:
+        raise DataError(f"no {args.mode} pieces with key-labeled filenames in {pieces_dir}")
     labeled = [
         (slices_from_piece(piece), root_of[path])
         for path, piece in _parse_midi_files(list(root_of))
     ]
     if not labeled:
-        raise DataError(f"no {args.mode} pieces with key-labeled filenames in {pieces_dir}")
+        raise DataError(
+            f"no {args.mode} piece with a key-labeled filename in {pieces_dir} parsed "
+            f"({len(root_of)} skipped)"
+        )
     try:
         matrix = analysis.key_similarity_matrix(space, labeled, args.mode)
     except ValueError as exc:

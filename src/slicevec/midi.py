@@ -11,6 +11,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 PERCUSSION_CHANNEL = 9
 
@@ -18,17 +22,6 @@ PERCUSSION_CHANNEL = 9
 # piece the pipeline is built for. Slicing allocates per beat, so a few bytes
 # of delta time must not be able to ask for gigabytes.
 MAX_BEATS = 1 << 18
-
-# data-byte counts for channel messages, by upper status nibble
-_CHANNEL_DATA_BYTES = {
-    0x80: 2,  # note off
-    0x90: 2,  # note on
-    0xA0: 2,  # poly aftertouch
-    0xB0: 2,  # control change
-    0xC0: 1,  # program change
-    0xD0: 1,  # channel aftertouch
-    0xE0: 2,  # pitch bend
-}
 
 
 class MidiParseError(ValueError):
@@ -73,11 +66,34 @@ class BeatGrid:
         return start, start + self.ticks_per_beat
 
 
-@dataclass
 class MidiPiece:
-    events: list[NoteEvent]
-    grid: BeatGrid
-    unclosed_notes: int = 0  # note-ons force-closed at end of track
+    """A piece's notes on a beat grid.
+
+    ``notes`` is an (n, 4) int64 array of (pitch, onset_ticks, offset_ticks,
+    channel) rows, one per note of ``events`` and in the same order
+    (parse_midi orders them by onset). A parsed piece builds ``events`` from
+    ``notes`` on first use. ``unclosed_notes`` counts the note-ons
+    force-closed at end of track.
+    """
+
+    def __init__(self, events: Sequence[NoteEvent], grid: BeatGrid, unclosed_notes: int = 0):
+        self.__dict__["events"] = list(events)  # fills the cached property
+        rows = [(e.pitch, e.onset_ticks, e.offset_ticks, e.channel) for e in events]
+        self.notes = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        self.grid = grid
+        self.unclosed_notes = unclosed_notes
+
+    @classmethod
+    def from_notes(cls, notes: np.ndarray, grid: BeatGrid, unclosed_notes: int) -> "MidiPiece":
+        piece = cls.__new__(cls)
+        piece.notes = notes
+        piece.grid = grid
+        piece.unclosed_notes = unclosed_notes
+        return piece
+
+    @cached_property
+    def events(self) -> list[NoteEvent]:
+        return [NoteEvent(*row) for row in self.notes.tolist()]
 
 
 def _read_varlen(data: bytes, pos: int) -> tuple[int, int]:
@@ -94,106 +110,116 @@ def _read_varlen(data: bytes, pos: int) -> tuple[int, int]:
     raise MidiParseError(f"variable-length quantity longer than 4 bytes at byte {pos - 4}")
 
 
-def _parse_track(
-    data: bytes, pos: int, end: int, collector: "_NoteCollector"
-) -> None:
-    """Parse MTrk events in data[pos:end] into the collector."""
+def _data_byte_error(data: bytes, pos: int) -> None:
+    """Refuse the channel message whose data bytes start at pos: one has the status bit."""
+    bad = pos if data[pos] & 0x80 else pos + 1
+    raise MidiParseError(f"status byte where a data byte belongs at byte {bad}")
+
+
+def _read_track(data: bytes, pos: int, end: int, notes: list[int]) -> int:
+    """Read the MTrk events in data[pos:end]; return how many notes it closed at the end.
+
+    Appends (pitch, onset, offset, channel) of each note to ``notes`` as four
+    flat ints, in note-off order. A note-off ends the earliest open note-on of
+    its channel and pitch; a note-off at its note-on's tick drops the note,
+    and a stray one is ignored. Percussion is skipped. Notes still open at
+    the end-of-track meta (or where the data runs out) are closed there, in
+    (channel, pitch) order, and lasting at least one tick.
+    """
     tick = 0
     running_status = None
+    open_onsets: dict[int, list[int]] = {}  # channel << 7 | pitch -> onset ticks
+    size = len(data)
     while pos < end:
-        delta, pos = _read_varlen(data, pos)
+        delta = data[pos]  # pos < end <= len(data): the first byte is there
+        pos += 1
+        if delta & 0x80:
+            if pos < size and data[pos] < 0x80:  # the common two-byte delta
+                delta = (delta & 0x7F) << 7 | data[pos]
+                pos += 1
+            else:
+                delta, pos = _read_varlen(data, pos - 1)
         tick += delta
         if pos >= end:
             raise MidiParseError(f"truncated event at byte {pos}")
-        byte = data[pos]
-        if byte >= 0x80:
-            status = byte
+        status = data[pos]
+        if status & 0x80:
             pos += 1
+        elif running_status is None:
+            raise MidiParseError(f"data byte {status:#x} with no running status at byte {pos}")
         else:
-            if running_status is None:
-                raise MidiParseError(f"data byte {byte:#x} with no running status at byte {pos}")
             status = running_status
 
-        if status == 0xFF:  # meta event
+        if status < 0xF0:  # channel message
+            running_status = status
+            if status < 0xA0:  # note off, note on
+                if pos + 2 > end:
+                    raise MidiParseError(f"truncated channel event at byte {pos}")
+                pitch = data[pos]
+                velocity = data[pos + 1]
+                if (pitch | velocity) & 0x80:
+                    _data_byte_error(data, pos)
+                pos += 2
+                channel = status & 0x0F
+                if channel == PERCUSSION_CHANNEL:
+                    continue
+                key = channel << 7 | pitch
+                onsets = open_onsets.get(key)
+                if status >= 0x90 and velocity:
+                    if onsets is None:
+                        open_onsets[key] = [tick]
+                    else:
+                        onsets.append(tick)
+                elif onsets:
+                    onset = onsets.pop(0)
+                    if tick > onset:  # a note-off at the onset tick drops the note
+                        notes += (pitch, onset, tick, channel)
+            else:  # aftertouch, control change, program change, pitch bend
+                nbytes = 1 if 0xC0 <= status < 0xE0 else 2  # program change, channel aftertouch
+                if pos + nbytes > end:
+                    raise MidiParseError(f"truncated channel event at byte {pos}")
+                if (data[pos] | data[pos + nbytes - 1]) & 0x80:
+                    _data_byte_error(data, pos)
+                pos += nbytes
+        elif status == 0xFF:  # meta event
             running_status = None
             if pos >= end:
                 raise MidiParseError(f"truncated meta event at byte {pos}")
             meta_type = data[pos]
-            pos += 1
-            length, pos = _read_varlen(data, pos)
+            length, pos = _read_varlen(data, pos + 1)
             if pos + length > end:
                 raise MidiParseError(f"meta event overruns track at byte {pos}")
             pos += length
             if meta_type == 0x2F:  # end of track
-                collector.close_track(tick)
-                return
-        elif status in (0xF0, 0xF7):  # sysex
+                break
+        elif status == 0xF0 or status == 0xF7:  # sysex
             running_status = None
             length, pos = _read_varlen(data, pos)
             if pos + length > end:
                 raise MidiParseError(f"sysex event overruns track at byte {pos}")
             pos += length
-        elif 0x80 <= status < 0xF0:
-            running_status = status
-            kind = status & 0xF0
-            channel = status & 0x0F
-            nbytes = _CHANNEL_DATA_BYTES[kind]
-            if pos + nbytes > end:
-                raise MidiParseError(f"truncated channel event at byte {pos}")
-            d1 = data[pos]
-            d2 = data[pos + 1] if nbytes == 2 else 0
-            pos += nbytes
-            if kind == 0x90 and d2 > 0:
-                collector.note_on(channel, d1, tick)
-            elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                collector.note_off(channel, d1, tick)
         else:
             raise MidiParseError(f"unsupported status byte {status:#x} at byte {pos - 1}")
-    # Track data exhausted without an end-of-track meta; close at current tick.
-    collector.close_track(tick)
 
-
-class _NoteCollector:
-    """Matches note-ons to note-offs (earliest-on first) for one track."""
-
-    def __init__(self):
-        self.open: dict[tuple[int, int], list[int]] = {}
-        self.events: list[NoteEvent] = []
-        self.unclosed = 0
-
-    def note_on(self, channel: int, pitch: int, tick: int) -> None:
-        if channel == PERCUSSION_CHANNEL:
-            return
-        self.open.setdefault((channel, pitch), []).append(tick)
-
-    def note_off(self, channel: int, pitch: int, tick: int) -> None:
-        if channel == PERCUSSION_CHANNEL:
-            return
-        onsets = self.open.get((channel, pitch))
-        if not onsets:
-            return  # stray note-off; ignore
-        onset = onsets.pop(0)
-        if tick > onset:
-            self.events.append(NoteEvent(pitch, onset, tick, channel))
-        # zero-length notes (off at the onset tick) are dropped
-
-    def close_track(self, end_tick: int) -> None:
-        for (channel, pitch), onsets in sorted(self.open.items()):
-            for onset in onsets:
-                offset = end_tick if end_tick > onset else onset + 1
-                self.events.append(NoteEvent(pitch, onset, offset, channel))
-                self.unclosed += 1
-        self.open.clear()
+    closed = 0
+    for key in sorted(open_onsets):
+        pitch, channel = key & 0x7F, key >> 7
+        for onset in open_onsets[key]:
+            notes += (pitch, onset, tick if tick > onset else onset + 1, channel)
+            closed += 1
+    return closed
 
 
 def parse_midi(data: bytes) -> MidiPiece:
-    """Parse SMF format 0/1 bytes into note events plus a beat grid.
+    """Parse SMF format 0/1 bytes into notes plus a beat grid.
 
     Every note-on with a matching note-off (or note-on at velocity 0) becomes
-    one NoteEvent; percussion-channel events are discarded; a note-on left
-    open at end of track is closed there and counted in ``unclosed_notes``.
-    The grid's ticks_per_beat is the header PPQ value. A piece whose last
-    note ends after MAX_BEATS beats is refused.
+    one note; percussion-channel events are discarded; a note-on left open
+    at end of track is closed there and counted in ``unclosed_notes``. A
+    channel message with a data byte of 0x80 or more is refused. Notes are
+    ordered by onset, ties in track order. The grid's ticks_per_beat is the
+    header PPQ value. A piece whose last note ends after MAX_BEATS beats is
+    refused.
     """
     if len(data) < 14:
         raise MidiParseError("file shorter than an SMF header (byte 0)")
@@ -211,7 +237,7 @@ def parse_midi(data: bytes) -> MidiPiece:
         raise MidiParseError("zero ticks-per-beat division at byte 12")
 
     pos = 8 + header_len
-    events: list[NoteEvent] = []
+    flat: list[int] = []
     unclosed = 0
     tracks_seen = 0
     while tracks_seen < ntrks:
@@ -224,26 +250,24 @@ def parse_midi(data: bytes) -> MidiPiece:
         if body_end > len(data):
             raise MidiParseError(f"chunk overruns file at byte {pos}")
         if chunk_id == b"MTrk":
-            collector = _NoteCollector()
-            _parse_track(data, body_start, body_end, collector)
-            events.extend(collector.events)
-            unclosed += collector.unclosed
+            unclosed += _read_track(data, body_start, body_end, flat)
             tracks_seen += 1
         # alien chunks are skipped per the SMF spec
         pos = body_end
 
-    events.sort(key=lambda e: e.onset_ticks)  # stable: ties keep track order
-    if events:
-        last_tick = max(e.offset_ticks for e in events)
+    length_beats = 0
+    if flat:
+        # checked on Python ints, so the int64 array below cannot overflow
+        last_tick = max(flat[2::4])
         length_beats = -(-last_tick // division)  # ceil
         if length_beats > MAX_BEATS:
             raise MidiParseError(
                 f"last note ends at tick {last_tick}, beat {length_beats}, "
                 f"beyond the {MAX_BEATS}-beat limit"
             )
-    else:
-        length_beats = 0
-    return MidiPiece(events, BeatGrid(division, length_beats), unclosed)
+    notes = np.array(flat, dtype=np.int64).reshape(-1, 4)
+    notes = notes[np.argsort(notes[:, 1], kind="stable")]  # ties keep track order
+    return MidiPiece.from_notes(notes, BeatGrid(division, length_beats), unclosed)
 
 
 def sounding_pitches(events: list[NoteEvent], grid: BeatGrid, beat: int) -> set[int]:

@@ -81,13 +81,10 @@ def slices_from_piece(piece: MidiPiece) -> list[Slice]:
     n = piece.grid.piece_length_beats
     tpb = piece.grid.ticks_per_beat
     width = n + 1  # column n absorbs notes that start or end past the grid
-    notes = np.array(
-        [(e.pitch % 12, e.onset_ticks, e.offset_ticks - 1) for e in piece.events],
-        dtype=np.int64,
-    ).reshape(-1, 3)
-    row = notes[:, 0] * width
+    notes = piece.notes
+    row = notes[:, 0] % 12 * width
     first = np.clip(notes[:, 1] // tpb, 0, n)
-    stop = np.clip(notes[:, 2] // tpb + 1, 0, n)
+    stop = np.clip((notes[:, 2] - 1) // tpb + 1, 0, n)
     diff = np.bincount(row + first, minlength=12 * width) - np.bincount(
         row + stop, minlength=12 * width
     )

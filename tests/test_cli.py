@@ -178,7 +178,42 @@ def test_keys_analysis_opens_only_the_requested_mode(capsys):
     assert main(["analyze", "keys", "--pieces-dir", "midi", "--mode", "minor"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("skipping") and "D_minor_00.mid" in err[0]
-    assert err[1] == "data error: no minor pieces with key-labeled filenames in midi"
+    assert err[1] == "data error: no minor piece with a key-labeled filename in midi parsed (1 skipped)"
+
+
+# SMF format 0, PPQ 4: a note-on and note-off whose pitch byte is 0xC8, a status byte
+HIGH_DATA_BYTE = bytes.fromhex("4d546864000000060000000100044d54726b0000000c"
+                               "0090c840" "1080c800" "00ff2f00")
+
+
+def test_data_byte_with_high_bit_is_skipped_by_ingest(capsys):
+    main(["synth", "--out-dir", "midi", "--keys", "C", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "2"])
+    with open("midi/high.mid", "wb") as fh:
+        fh.write(HIGH_DATA_BYTE)
+    capsys.readouterr()
+    assert main(["ingest", "--corpus-dir", "midi", "--vocab-size", "50"]) == 0
+    captured = capsys.readouterr()
+    assert "pieces: 1" in captured.out
+    assert captured.err.splitlines() == [
+        "skipping midi/high.mid: status byte where a data byte belongs at byte 24"
+    ]
+
+
+def test_data_byte_with_high_bit_is_a_generate_data_error(capsys):
+    main(["synth", "--out-dir", "midi", "--keys", "C", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "2"])
+    main(["ingest", "--corpus-dir", "midi", "--vocab-size", "50"])
+    main(["train", "--dims", "8", "--steps", "50", "--loss-every", "50",
+          "--batch-size", "16"])
+    with open("high.mid", "wb") as fh:
+        fh.write(HIGH_DATA_BYTE)
+    capsys.readouterr()
+    assert main(["generate", "--midi-in", "high.mid", "--midi-out", "y.mid"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "data error: high.mid: status byte where a data byte belongs at byte 24"
+    ]
+    assert not os.path.exists("y.mid")
 
 
 def test_keys_analysis_requires_labeled_files(capsys):
