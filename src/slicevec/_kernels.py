@@ -1,21 +1,11 @@
-"""Training kernels: the numpy skip-gram loop and its helpers.
+"""Training kernels: the numpy SGD batch step and its negative draws.
 
-_run_window_numpy runs a window of SGD batches. Each batch takes its pairs
-from _gen_pairs_py and one update from _sgd_batch_numpy; the trainer's
-batch API (generate_batch, sgd_step, neg_sample) calls the same helpers,
-so both paths train on the same stream and make the same bytes.
-
-All mutable loop state crosses the boundary as small numpy arrays:
-``state`` is a 1-element uint64 array holding the xorshift64* state,
-``cursor`` is an int64[5] array (piece, position, pending-read index,
-pending count, pending center token) and ``pend`` is an int32 scratch
-buffer of up to window_c context tokens for the current center.
-
-The loop reads the random stream in blocks through rng.BlockRng and works
-on a whole batch per call: every center's Fisher-Yates draws at once, and
-every negative draw at once, repaired after each rejection. The draws are
-those of the one-value-at-a-time rng.Rng, which stays the reference; the
-pair and negative helpers also accept a plain Rng.
+trainer.train and the batch API (sgd_step, neg_sample) share these
+helpers, so both paths make the same bytes; the pairs come from
+trainer.BatchCursor. A step works on a whole batch at once: every negative
+draw of the batch at once, repaired after each rejection. The draws are
+those of the one-value-at-a-time rng.Rng, which stays the reference, read
+in blocks through rng.BlockRng; the helpers accept either.
 """
 
 from __future__ import annotations
@@ -27,75 +17,6 @@ from .rng import BlockRng, Rng, to_floats
 BACKEND = "numpy"  # the one training engine; run records report it
 
 _SCATTER_ELEMENTS = 1 << 14  # matrix elements per 1-D scatter call
-
-
-def _gen_pairs_py(
-    tokens, starts, ends, rng: Rng | BlockRng, cursor, pend, centers, ctxs, half_window, num_skips
-) -> None:
-    """Fill centers/ctxs with the next len(centers) skip-gram pairs.
-
-    Each center position yields min(num_skips, available) context picks,
-    drawn without replacement by a partial Fisher-Yates shuffle over the
-    in-window positions (piece boundaries truncate the window). Pairs are
-    handed out one per call slot; a center's leftovers wait in pend.
-
-    Every piece needs at least 2 tokens, so each center yields a pair and
-    the centers a call needs are known before any value is drawn. rng is an
-    Rng or a BlockRng; the draws are those of the one-center-at-a-time walk,
-    made for all of the call's centers at once.
-    """
-    piece, pos, pi, pn, pcen = cursor.tolist()
-    size = len(centers)
-    old = min(pn - pi, size) if pn > pi else 0
-    centers[:old] = pcen
-    ctxs[:old] = pend[pi : pi + old]
-    need = size - old
-    if need == 0:
-        cursor[2] = pi + old
-        return
-    # centers in corpus order, as positions in the concatenated pieces
-    lengths = np.asarray(ends, dtype=np.int64) - starts
-    if lengths.min() < 2:
-        raise ValueError("every piece needs at least 2 tokens")
-    offsets = np.cumsum(lengths) - lengths
-    flat = (offsets[piece] + pos + np.arange(need)) % (offsets[-1] + lengths[-1])
-    pc = np.searchsorted(offsets, flat, side="right") - 1
-    p = flat - offsets[pc]
-    lo = np.maximum(p - half_window, 0)
-    m = np.minimum(p + half_window, lengths[pc] - 1) - lo  # window positions
-    kk = np.minimum(m, num_skips)
-    n_c = int(np.searchsorted(np.cumsum(kk), need)) + 1
-    pc, p, lo, m, kk = pc[:n_c], p[:n_c], lo[:n_c], m[:n_c], kk[:n_c]
-    # pick i of a center swaps in position i + below(m - i); below(1) draws nothing
-    step = np.arange(num_skips)
-    picked = step < kk[:, None]
-    bounds = np.where(picked, m[:, None] - step, 1)
-    drawn = BlockRng.over(rng).below(bounds.reshape(-1)).astype(np.int64)
-    swap = step + drawn.reshape(bounds.shape)
-    avail = lo[:, None] + np.arange(2 * half_window)
-    avail += avail >= p[:, None]  # the center is not in its own window
-    rows = np.arange(n_c)
-    picks = np.empty_like(swap)
-    for i in range(num_skips):  # column i is not read again after pick i
-        picks[:, i] = avail[rows, swap[:, i]]
-        avail[rows, swap[:, i]] = avail[:, i]
-    base = np.asarray(starts, dtype=np.int64)[pc]
-    pair_ctx = tokens[(base[:, None] + picks)[picked]]
-    pair_cen = np.repeat(tokens[base + p], kk)
-    centers[old:] = pair_cen[:need]
-    ctxs[old:] = pair_ctx[:need]
-    last = int(kk[-1])
-    pend[:last] = pair_ctx[len(pair_ctx) - last :]
-    pos = int(p[-1]) + 1
-    piece = int(pc[-1])
-    if pos >= lengths[piece]:
-        pos = 0
-        piece = (piece + 1) % len(lengths)
-    cursor[0] = piece
-    cursor[1] = pos
-    cursor[2] = last - (len(pair_ctx) - need)
-    cursor[3] = last
-    cursor[4] = pair_cen[-1]
 
 
 def _draw_negatives_py(cdf, rng: Rng | BlockRng, excludes, n_neg):
@@ -208,47 +129,3 @@ def _sgd_batch_numpy(inp, out, cdf, rng: Rng | BlockRng, centers, ctxs, negs, lr
                 _add_rows_at(out, rows.reshape(-1), (-scale * grad_out).reshape(-1, inp.shape[1]))
         yield losses
 
-
-def _run_window_numpy(
-    tokens,
-    starts,
-    ends,
-    inp,
-    out,
-    cdf,
-    state,
-    cursor,
-    pend,
-    n_batches,
-    batch_size,
-    half_window,
-    num_skips,
-    n_neg,
-    lr,
-    start_step,
-):
-    """Run n_batches SGD batches; returns (loss_sum, status, step, pair).
-
-    status 0 = ok; status 1 = non-finite pair loss, with the offending
-    global batch index and in-batch pair index in the last two slots.
-    loss_sum accumulates each batch's mean pair loss.
-    """
-    rng = Rng.from_state(int(state[0]))
-    stream = BlockRng(rng)
-    centers = np.empty(batch_size, np.int32)
-    ctxs = np.empty(batch_size, np.int32)
-    negs = np.empty((batch_size, n_neg), np.int32)
-    batches = _sgd_batch_numpy(inp, out, cdf, stream, centers, ctxs, negs, lr)
-    loss_sum = 0.0
-    for step in range(n_batches):
-        _gen_pairs_py(
-            tokens, starts, ends, stream, cursor, pend, centers, ctxs, half_window, num_skips
-        )
-        losses = next(batches)
-        bad = np.flatnonzero(~np.isfinite(losses))
-        if len(bad):
-            state[0] = rng.state
-            return loss_sum, 1, start_step + step, int(bad[0])
-        loss_sum += float(losses.sum()) / batch_size
-    state[0] = rng.state
-    return loss_sum, 0, -1, -1

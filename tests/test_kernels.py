@@ -9,7 +9,6 @@ import subprocess
 import sys
 
 import numpy as np
-import pytest
 
 from slicevec import _kernels
 from slicevec.rng import BlockRng, Rng
@@ -24,12 +23,18 @@ from slicevec.trainer import (
     train,
 )
 
-def random_layout(rnd, min_len=2, max_len=25, max_pieces=4):
-    lengths = [rnd.randrange(min_len, max_len) for _ in range(rnd.randrange(1, max_pieces + 1))]
-    ends = np.cumsum(np.array(lengths, dtype=np.int64))
-    starts = ends - np.array(lengths, dtype=np.int64)
-    tokens = np.arange(int(ends[-1]), dtype=np.int32)  # unique token per position
-    return tokens, starts, ends, lengths
+def random_cursor(rnd, max_pieces=4):
+    """A cursor over random piece lengths whose tokens are their positions."""
+    lengths = [rnd.randrange(2, 25) for _ in range(rnd.randrange(1, max_pieces + 1))]
+    ends = np.cumsum(lengths)
+    pieces = [np.arange(end - n, end) for n, end in zip(lengths, ends)]
+    half_window = rnd.randrange(1, 4)
+    config = TrainingConfig(
+        dims=4, window_c=2 * half_window, num_skips_k=rnd.randrange(1, 2 * half_window + 1)
+    )
+    rng = Rng(rnd.randrange(1 << 40))
+    cursor = BatchCursor.start(EncodedCorpus.from_ids(pieces), config, rng)
+    return cursor, lengths, rng
 
 
 def test_pair_stream_structure():
@@ -37,19 +42,13 @@ def test_pair_stream_structure():
     # so the windowing rules can be checked against an independent walk
     rnd = random.Random(17)
     for _ in range(40):
-        tokens, starts, ends, lengths = random_layout(rnd)
-        half_window = rnd.randrange(1, 4)
-        num_skips = rnd.randrange(1, 2 * half_window + 1)
-        rng = Rng(rnd.randrange(1 << 30))
-        cursor = np.zeros(5, dtype=np.int64)
-        pend = np.zeros(2 * half_window, dtype=np.int32)
+        cursor, lengths, _ = random_cursor(rnd)
+        half_window, num_skips = cursor.half_window, cursor.num_skips
         stream = []
         for _ in range(10):
             centers = np.empty(37, dtype=np.int32)
             ctxs = np.empty(37, dtype=np.int32)
-            _kernels._gen_pairs_py(
-                tokens, starts, ends, rng, cursor, pend, centers, ctxs, half_window, num_skips
-            )
+            cursor.fill(centers, ctxs)
             stream.extend(zip(centers.tolist(), ctxs.tolist()))
 
         def window_of(piece, pos):
@@ -64,7 +63,7 @@ def test_pair_stream_structure():
             k = min(num_skips, len(window))
             if i + k > len(stream):
                 break
-            base = int(starts[piece])
+            base = sum(lengths[:piece])
             chunk = stream[i : i + k]
             assert all(c == base + pos for c, _ in chunk)
             picked = [ctx - base for _, ctx in chunk]
@@ -77,77 +76,57 @@ def test_pair_stream_structure():
                 piece = (piece + 1) % len(lengths)
 
 
-def _gen_pairs_by_walk(
-    tokens, starts, ends, rng, cursor, pend, centers, ctxs, half_window, num_skips
-):
-    """One center at a time, one Rng value per swap: the stream _gen_pairs_py must reproduce."""
-    piece, pos, pi, pn, pcen = (int(v) for v in cursor)
-    avail = [0] * (2 * half_window)
-    for b in range(len(centers)):
-        while pi >= pn:
-            start = int(starts[piece])
-            length = int(ends[piece]) - start
-            lo, hi = max(pos - half_window, 0), min(pos + half_window, length - 1)
-            m = 0
-            for q in range(lo, hi + 1):
-                if q != pos:
-                    avail[m] = q
-                    m += 1
-            kk = min(num_skips, m)
-            for i in range(kk):
-                j = i + rng.below(m - i)
-                avail[i], avail[j] = avail[j], avail[i]
-                pend[i] = tokens[start + avail[i]]
-            pcen, pi, pn = int(tokens[start + pos]), 0, kk
-            pos += 1
-            if pos >= length:
-                pos, piece = 0, (piece + 1) % len(starts)
-        centers[b] = pcen
-        ctxs[b] = pend[pi]
-        pi += 1
-    cursor[:] = (piece, pos, pi, pn, pcen)
+class ScalarWalk:
+    """One center at a time, one Rng value per swap: the stream fill must reproduce."""
+
+    def __init__(self, cursor, lengths, rng):
+        self.tokens, self.lengths, self.rng = cursor.tokens, lengths, rng
+        self.half_window, self.num_skips = cursor.half_window, cursor.num_skips
+        self.piece = self.pos = 0
+        self.pending = []
+        self.center = 0
+
+    def fill(self, centers, ctxs):
+        for b in range(len(centers)):
+            if not self.pending:
+                self._next_center()
+            centers[b] = self.center
+            ctxs[b] = self.pending.pop(0)
+
+    def _next_center(self):
+        start, length = sum(self.lengths[: self.piece]), self.lengths[self.piece]
+        lo = max(self.pos - self.half_window, 0)
+        hi = min(self.pos + self.half_window, length - 1)
+        avail = [q for q in range(lo, hi + 1) if q != self.pos]
+        m = len(avail)
+        for i in range(min(self.num_skips, m)):
+            j = i + self.rng.below(m - i)
+            avail[i], avail[j] = avail[j], avail[i]
+            self.pending.append(int(self.tokens[start + avail[i]]))
+        self.center = int(self.tokens[start + self.pos])
+        self.pos += 1
+        if self.pos >= length:
+            self.pos, self.piece = 0, (self.piece + 1) % len(self.lengths)
 
 
 def test_pair_generation_matches_scalar_walk():
     rnd = random.Random(19)
     for trial in range(40):
-        tokens, starts, ends, _ = random_layout(rnd, max_pieces=5)
-        if trial % 2:  # pieces in another order than their tokens
-            order = list(range(len(starts)))
-            rnd.shuffle(order)
-            starts, ends = starts[order], ends[order]
-        half_window = rnd.randrange(1, 4)
-        num_skips = rnd.randrange(1, 2 * half_window + 1)
-        seed = rnd.randrange(1 << 40)
-        rng, ref = Rng(seed), Rng(seed)
-        stream = BlockRng(rng) if trial % 3 else rng
-        cur, cur_ref = np.zeros(5, np.int64), np.zeros(5, np.int64)
-        pend, pend_ref = np.zeros(2 * half_window, np.int32), np.zeros(2 * half_window, np.int32)
+        cursor, lengths, rng = random_cursor(rnd, max_pieces=5)
+        ref = Rng.from_state(rng.state)
+        walk = ScalarWalk(cursor, lengths, ref)
         for _ in range(15):
             n = rnd.choice((1, 2, 3, 17, 128, 300))
             got = np.empty(n, np.int32), np.empty(n, np.int32)
             expected = np.empty(n, np.int32), np.empty(n, np.int32)
-            _kernels._gen_pairs_py(
-                tokens, starts, ends, stream, cur, pend, *got, half_window, num_skips
-            )
-            _gen_pairs_by_walk(
-                tokens, starts, ends, ref, cur_ref, pend_ref, *expected, half_window, num_skips
-            )
+            cursor.fill(*got)
+            walk.fill(*expected)
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
-            assert np.array_equal(cur, cur_ref)
-            assert rng.state == ref.state
-
-
-def test_pair_generation_rejects_short_pieces():
-    tokens = np.arange(5, dtype=np.int32)
-    starts, ends = np.array([0, 4], np.int64), np.array([4, 5], np.int64)
-    out = np.empty(4, np.int32), np.empty(4, np.int32)
-    with pytest.raises(ValueError, match="2 tokens"):
-        _kernels._gen_pairs_py(
-            tokens, starts, ends, Rng(1), np.zeros(5, np.int64), np.zeros(4, np.int32),
-            *out, 2, 2,
-        )
+            assert cursor.rng.state == ref.state
+            if trial % 2:  # the Rng stepped outside the stream, as sgd_step does
+                for _ in range(rnd.randrange(3)):
+                    assert cursor.rng.next_u64() == ref.next_u64()
 
 
 def _draw_by_linear_scan(cdf, rng, exclude):
@@ -223,35 +202,49 @@ def _tiny_training_setup():
     return corpus, vocab
 
 
-def test_batch_api_reproduces_numpy_window_bitwise():
+def test_batch_api_reproduces_train_bitwise():
     corpus, vocab = _tiny_training_setup()
     config = TrainingConfig(
         dims=8, window_c=4, num_skips_k=2, negative_samples=3,
-        learning_rate=0.2, batch_size=16, steps=20, seed=5,
+        learning_rate=0.2, batch_size=16, steps=20, seed=5, loss_every=20,
     )
+    trained, trace = train(corpus, vocab, config)
     rng = Rng(config.seed)
     emb = EmbeddingMatrix.initialize(vocab.size, config.dims, rng)
     cursor = BatchCursor.start(corpus, config, rng)
     noise = NoiseDistribution.from_vocabulary(vocab)
-    inp, out = emb.input_vectors.copy(), emb.output_vectors.copy()
-    state, position, pend = cursor.state.copy(), cursor.position.copy(), cursor.pend.copy()
-    loss_sum, status, _, _ = _kernels._run_window_numpy(
-        cursor.tokens, cursor.starts, cursor.ends, inp, out, noise.cdf, state, position,
-        pend, config.steps, config.batch_size, config.window_c // 2, config.num_skips_k,
-        config.negative_samples, config.learning_rate, 0,
-    )
-    assert status == 0
     total = 0.0
     for _ in range(config.steps):
         batch = generate_batch(corpus, config, cursor)
-        step_rng = Rng.from_state(int(cursor.state[0]))
-        total += sgd_step(emb, batch, config, noise, step_rng)
-        cursor.state[0] = step_rng.state
-    assert total == loss_sum
-    assert np.array_equal(emb.input_vectors, inp)
-    assert np.array_equal(emb.output_vectors, out)
-    assert cursor.state[0] == state[0]
-    assert np.array_equal(cursor.position, position)
+        total += sgd_step(emb, batch, config, noise, cursor.rng)
+    assert trace.checkpoints == [(config.steps, total / config.steps)]
+    assert np.array_equal(emb.input_vectors, trained.input_vectors)
+    assert np.array_equal(emb.output_vectors, trained.output_vectors)
+
+
+def test_sgd_step_on_fortran_matrices_matches_c_order():
+    # non-C-contiguous matrices take _add_rows_at's np.add.at branch
+    corpus, vocab = _tiny_training_setup()
+    config = TrainingConfig(
+        dims=8, window_c=4, num_skips_k=2, negative_samples=3,
+        learning_rate=0.2, batch_size=16, steps=30, seed=5,
+    )
+    emb = EmbeddingMatrix.initialize(vocab.size, config.dims, Rng(config.seed))
+    fortran = EmbeddingMatrix(
+        np.asfortranarray(emb.input_vectors), np.asfortranarray(emb.output_vectors)
+    )
+    cursor = BatchCursor.start(corpus, config, Rng(7))
+    noise = NoiseDistribution.from_vocabulary(vocab)
+    rng_c, rng_f = Rng(11), Rng(11)
+    for _ in range(config.steps):
+        batch = generate_batch(corpus, config, cursor)
+        assert sgd_step(emb, batch, config, noise, rng_c) == sgd_step(
+            fortran, batch, config, noise, rng_f
+        )
+    assert fortran.input_vectors.flags.f_contiguous
+    for a, b in ((emb.input_vectors, fortran.input_vectors),
+                 (emb.output_vectors, fortran.output_vectors)):
+        assert a.tobytes() == np.ascontiguousarray(b).tobytes()
 
 
 # sha256 of input_vectors + output_vectors bytes and the loss trace of the

@@ -376,9 +376,12 @@ def test_train_aborts_on_numerical_blowup():
         dims=4, window_c=2, num_skips_k=1, negative_samples=2,
         learning_rate=1e200, batch_size=4, steps=50, seed=3, loss_every=10,
     )
-    with pytest.raises(NumericalAbortError) as excinfo:
-        train(corpus, vocab, config)
-    assert excinfo.value.step >= 0
+    # a non-finite pair loss names its batch and pair; at loss_every=2 the
+    # matrices turn non-finite first, found at the end of the loss window
+    for loss_every, where in ((10, (2, 0)), (2, (1, -1))):
+        with pytest.raises(NumericalAbortError) as excinfo:
+            train(corpus, vocab, config.with_overrides(loss_every=loss_every))
+        assert (excinfo.value.step, excinfo.value.pair) == where
 
 
 def test_batch_cursor_survives_center_splits():
