@@ -304,7 +304,7 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     substitutes, diagnostics = generator.rewrite_piece(slices, space, gconfig)
-    data = generator.emit_midi(piece.events, piece.grid, substitutes)
+    data = generator.emit_midi(piece, substitutes)
     with open(args.midi_out, "wb") as fh:
         fh.write(data)
     if args.diagnostics:
@@ -368,6 +368,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:  # e.g. an output path that cannot be written
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .embedding import EmbeddingSpace, nearest
-from .midi import BeatGrid, MidiPiece, NoteEvent, write_smf
+from .midi import MidiPiece, write_smf
 from .slicer import REST_FORM, Slice, slices_from_piece
 
 RENDER_BASE_PITCH = 60  # substituted beats render in octave 4
@@ -149,28 +149,26 @@ def save_diagnostics(path: str, diagnostics: Sequence[BeatDiagnostic]) -> None:
             writer.writerow([d.beat, d.original, d.substitute, dist, d.top_n])
 
 
-def emit_midi(
-    events: Sequence[NoteEvent], grid: BeatGrid, substitutes: Sequence[Slice]
-) -> bytes:
+def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice]) -> bytes:
     """Render the substituted piece back to SMF bytes.
 
     Beats whose substitute differs from the original slice render their
     pitch classes as simultaneous one-beat notes in octave 4; all other
-    beats keep the original note events. Held notes crossing a substituted
+    beats keep the piece's original notes. Held notes crossing a substituted
     beat are clipped out of it and keep sounding in their unchanged beats.
     """
-    n_beats = grid.piece_length_beats
+    n_beats = piece.grid.piece_length_beats
     if len(substitutes) != n_beats:
         raise ValueError(
             f"{len(substitutes)} substitutes for a {n_beats}-beat piece"
         )
-    tpb = grid.ticks_per_beat
-    originals = slices_from_piece(MidiPiece(events, grid))
+    tpb = piece.grid.ticks_per_beat
+    originals = slices_from_piece(piece)
     changed = [sub != orig for sub, orig in zip(substitutes, originals)]
-    out_events: list[NoteEvent] = []
-    for e in events:
-        first = e.onset_ticks // tpb
-        last = (e.offset_ticks - 1) // tpb
+    rows = []
+    for pitch, onset, offset, channel in piece.notes.tolist():
+        first = onset // tpb
+        last = (offset - 1) // tpb
         b = first
         while b <= last:
             if b < n_beats and changed[b]:
@@ -179,14 +177,12 @@ def emit_midi(
             run_start = b
             while b <= last and not (b < n_beats and changed[b]):
                 b += 1
-            seg_start = max(e.onset_ticks, run_start * tpb)
-            seg_end = min(e.offset_ticks, b * tpb)
+            seg_start = max(onset, run_start * tpb)
+            seg_end = min(offset, b * tpb)
             if seg_end > seg_start:
-                out_events.append(NoteEvent(e.pitch, seg_start, seg_end, e.channel))
+                rows.append((pitch, seg_start, seg_end, channel))
     for b in range(n_beats):
         if changed[b]:
             for pc in substitutes[b].pitch_classes:
-                out_events.append(
-                    NoteEvent(RENDER_BASE_PITCH + pc, b * tpb, (b + 1) * tpb, 0)
-                )
-    return write_smf(out_events, tpb, velocity=RENDER_VELOCITY)
+                rows.append((RENDER_BASE_PITCH + pc, b * tpb, (b + 1) * tpb, 0))
+    return write_smf(rows, tpb, velocity=RENDER_VELOCITY)

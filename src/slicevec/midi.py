@@ -66,30 +66,19 @@ class BeatGrid:
         return start, start + self.ticks_per_beat
 
 
+@dataclass(eq=False)  # identity equality: field equality on an array is ambiguous
 class MidiPiece:
     """A piece's notes on a beat grid.
 
     ``notes`` is an (n, 4) int64 array of (pitch, onset_ticks, offset_ticks,
-    channel) rows, one per note of ``events`` and in the same order
-    (parse_midi orders them by onset). A parsed piece builds ``events`` from
-    ``notes`` on first use. ``unclosed_notes`` counts the note-ons
-    force-closed at end of track.
+    channel) rows; parse_midi orders them by onset. ``events`` holds the same
+    notes as NoteEvents, built on first use. ``unclosed_notes`` counts the
+    note-ons force-closed at end of track.
     """
 
-    def __init__(self, events: Sequence[NoteEvent], grid: BeatGrid, unclosed_notes: int = 0):
-        self.__dict__["events"] = list(events)  # fills the cached property
-        rows = [(e.pitch, e.onset_ticks, e.offset_ticks, e.channel) for e in events]
-        self.notes = np.array(rows, dtype=np.int64).reshape(-1, 4)
-        self.grid = grid
-        self.unclosed_notes = unclosed_notes
-
-    @classmethod
-    def from_notes(cls, notes: np.ndarray, grid: BeatGrid, unclosed_notes: int) -> "MidiPiece":
-        piece = cls.__new__(cls)
-        piece.notes = notes
-        piece.grid = grid
-        piece.unclosed_notes = unclosed_notes
-        return piece
+    notes: np.ndarray
+    grid: BeatGrid
+    unclosed_notes: int = 0
 
     @cached_property
     def events(self) -> list[NoteEvent]:
@@ -267,21 +256,7 @@ def parse_midi(data: bytes) -> MidiPiece:
             )
     notes = np.array(flat, dtype=np.int64).reshape(-1, 4)
     notes = notes[np.argsort(notes[:, 1], kind="stable")]  # ties keep track order
-    return MidiPiece.from_notes(notes, BeatGrid(division, length_beats), unclosed)
-
-
-def sounding_pitches(events: list[NoteEvent], grid: BeatGrid, beat: int) -> set[int]:
-    """Pitches whose [onset, offset) interval intersects the beat's ticks.
-
-    A held note counts in every beat it overlaps; a note whose offset lands
-    exactly on a beat boundary does not sound in the following beat.
-    """
-    if not 0 <= beat < grid.piece_length_beats:
-        raise IndexError(
-            f"beat {beat} out of range 0..{grid.piece_length_beats - 1}"
-        )
-    start, end = grid.beat_span(beat)
-    return {e.pitch for e in events if e.onset_ticks < end and e.offset_ticks > start}
+    return MidiPiece(notes, BeatGrid(division, length_beats), unclosed)
 
 
 MAX_VARLEN = (1 << 28) - 1  # largest value a 4-byte variable-length quantity holds
@@ -299,38 +274,42 @@ def _write_varlen(value: int) -> bytes:
 
 
 def write_smf(
-    events: list[NoteEvent],
+    notes: np.ndarray | Sequence[Sequence[int]],
     ticks_per_beat: int,
     *,
     velocity: int = 80,
     tempo_us_per_beat: int = 500_000,
 ) -> bytes:
-    """Serialize note events as a single-track SMF format 0 file.
+    """Serialize (pitch, onset, offset, channel) note rows as a single-track SMF format 0 file.
 
-    Events are emitted in (tick, off-before-on, channel, pitch) order so the
+    Messages are emitted in (tick, off-before-on, channel, pitch) order so the
     byte stream is deterministic. All note-ons carry the same velocity; the
-    pipeline does not model dynamics. A gap of more than MAX_VARLEN ticks
-    between consecutive messages raises ValueError, because parse_midi reads
-    delta times of at most 4 bytes.
+    pipeline does not model dynamics. ValueError is raised for a row with
+    pitch outside 0..127, channel outside 0..15 or offset <= onset, and for a
+    gap of more than MAX_VARLEN ticks between consecutive messages, because
+    parse_midi reads delta times of at most 4 bytes.
     """
     if ticks_per_beat <= 0:
         raise ValueError("ticks_per_beat must be positive")
-    # (tick, is_on, channel, pitch)
-    messages = []
-    for e in events:
-        messages.append((e.onset_ticks, 1, e.channel, e.pitch))
-        messages.append((e.offset_ticks, 0, e.channel, e.pitch))
-    messages.sort()
+    if not 1 <= velocity <= 127:
+        raise ValueError(f"velocity {velocity} outside 1..127")
+    notes = np.asarray(notes, dtype=np.int64).reshape(-1, 4)
+    pitch, onset, offset, channel = notes.T
+    bad = (pitch < 0) | (pitch > 127) | (channel < 0) | (channel > 15) | (offset <= onset)
+    if bad.any():
+        row = notes[bad.argmax()].tolist()
+        raise ValueError(f"note row {row}: needs pitch 0..127, channel 0..15, offset > onset")
+    is_on = np.repeat([1, 0], len(notes))
+    tick, channel, pitch = np.concatenate((onset, offset)), np.tile(channel, 2), np.tile(pitch, 2)
+    order = np.lexsort((pitch, channel, is_on, tick))
+    messages = np.stack((0x80 | is_on << 4 | channel, pitch, is_on * velocity), axis=1)
+    raw = messages[order].astype(np.uint8).tobytes()  # 3 bytes per message
 
-    body = bytearray()
-    body += b"\x00" + bytes([0xFF, 0x51, 0x03]) + struct.pack(">I", tempo_us_per_beat)[1:]
-    tick = 0
-    for when, is_on, channel, pitch in messages:
-        body += _write_varlen(when - tick)
-        tick = when
-        status = (0x90 if is_on else 0x80) | channel
-        body += bytes([status, pitch, velocity if is_on else 0])
-    body += b"\x00" + bytes([0xFF, 0x2F, 0x00])
+    body = bytearray(b"\x00\xff\x51\x03" + struct.pack(">I", tempo_us_per_beat)[1:])
+    for i, delta in enumerate(np.diff(tick[order], prepend=0).tolist()):
+        body += _write_varlen(delta)
+        body += raw[3 * i : 3 * i + 3]
+    body += b"\x00\xff\x2f\x00"
 
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, ticks_per_beat)
     track = b"MTrk" + struct.pack(">I", len(body)) + bytes(body)

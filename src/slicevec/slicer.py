@@ -73,10 +73,10 @@ def slices_from_piece(piece: MidiPiece) -> list[Slice]:
     """One slice per beat of the piece, in beat order.
 
     Beat b holds the pitch classes of the notes whose [onset, offset)
-    intersects its ticks, as in midi.sounding_pitches. A note sounds from
-    beat onset // tpb up to, not including, beat (offset - 1) // tpb + 1; a
-    per-pitch-class difference array over those bounds, summed along the
-    beats, gives every beat's classes at once.
+    intersects its ticks, so a note ending on a beat boundary is not in the
+    next beat. A note sounds from beat onset // tpb up to, not including,
+    beat (offset - 1) // tpb + 1; a per-pitch-class difference array over
+    those bounds, summed along the beats, gives every beat's classes at once.
     """
     n = piece.grid.piece_length_beats
     tpb = piece.grid.ticks_per_beat

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import CIRCLE_OF_FIFTHS, MAJOR, MINOR, PC_OF_NAME
-from .midi import BeatGrid, NoteEvent, write_smf
+from .midi import MAX_BEATS, BeatGrid, write_smf
 
 TICKS_PER_BEAT = 480
 BEATS_PER_BAR = 4
@@ -151,29 +151,23 @@ def generate_piece(
     return beats
 
 
-def piece_events(beats: Sequence[tuple[int, ...]]) -> tuple[list[NoteEvent], BeatGrid]:
-    """Render per-beat pitch-class sets as octave-4 notes, merging holds.
+def piece_notes(beats: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, BeatGrid]:
+    """Render per-beat pitch-class sets as octave-4 note rows, merging holds.
 
     Consecutive beats with the same pitch-class set become one held note
-    per pitch, so parsing the file exercises notes that span beats.
+    per pitch, so parsing the file exercises notes that span beats. Returns
+    the (n, 4) int64 notes array, as MidiPiece holds it, and the grid.
     """
-    events: list[NoteEvent] = []
+    rows = []
     b = 0
     while b < len(beats):
         run = b + 1
         while run < len(beats) and beats[run] == beats[b]:
             run += 1
         for pc in sorted(set(beats[b])):
-            events.append(
-                NoteEvent(
-                    BASE_PITCH + pc,
-                    b * TICKS_PER_BEAT,
-                    run * TICKS_PER_BEAT,
-                    0,
-                )
-            )
+            rows.append((BASE_PITCH + pc, b * TICKS_PER_BEAT, run * TICKS_PER_BEAT, 0))
         b = run
-    return events, BeatGrid(TICKS_PER_BEAT, len(beats))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4), BeatGrid(TICKS_PER_BEAT, len(beats))
 
 
 def piece_rng(seed: int, root_pc: int, mode: str, index: int) -> np.random.Generator:
@@ -196,6 +190,9 @@ def synth_corpus(
     """
     if pieces_per_key < 1:
         raise ValueError("pieces_per_key must be >= 1")
+    n_beats = n_bars * BEATS_PER_BAR
+    if n_beats > MAX_BEATS:  # parse_midi would refuse the files
+        raise ValueError(f"{n_bars} bars are {n_beats} beats, beyond the {MAX_BEATS}-beat limit")
     if not keys:
         raise ValueError("key list must not be empty")
     for key in keys:
@@ -212,8 +209,8 @@ def synth_corpus(
             for index in range(pieces_per_key):
                 rng = piece_rng(seed, root_pc, mode, index)
                 beats = generate_piece(root_pc, mode, n_bars, rng)
-                events, _ = piece_events(beats)
-                data = write_smf(events, TICKS_PER_BEAT, velocity=VELOCITY)
+                notes, _ = piece_notes(beats)
+                data = write_smf(notes, TICKS_PER_BEAT, velocity=VELOCITY)
                 path = os.path.join(out_dir, key_filename(key, mode, index))
                 with open(path, "wb") as fh:
                     fh.write(data)

@@ -4,11 +4,18 @@ This is the object-per-event parser that slicevec.midi's one-pass reader
 replaced, kept as the oracle that the reader is tested against. It differs
 from its earlier form in one rule only: a channel message with a data byte
 of 0x80 or more is refused, as the reader refuses it.
+
+Beside it: ``sounding_pitches``, the per-beat scan that slicing is tested
+against, and ``note_array``, which turns NoteEvents into the (n, 4) notes
+array that MidiPiece, write_smf and emit_midi take.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Iterable
+
+import numpy as np
 
 from slicevec.midi import (
     MAX_BEATS,
@@ -175,3 +182,23 @@ def parse_midi_reference(data: bytes) -> tuple[list[NoteEvent], BeatGrid, int]:
     else:
         length_beats = 0
     return events, BeatGrid(division, length_beats), unclosed
+
+
+def note_array(events: Iterable[NoteEvent]) -> np.ndarray:
+    """(pitch, onset_ticks, offset_ticks, channel) rows of the events, in their order."""
+    rows = [(e.pitch, e.onset_ticks, e.offset_ticks, e.channel) for e in events]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def sounding_pitches(events: list[NoteEvent], grid: BeatGrid, beat: int) -> set[int]:
+    """Pitches whose [onset, offset) interval intersects the beat's ticks.
+
+    A held note counts in every beat it overlaps; a note whose offset lands
+    exactly on a beat boundary does not sound in the following beat.
+    """
+    if not 0 <= beat < grid.piece_length_beats:
+        raise IndexError(
+            f"beat {beat} out of range 0..{grid.piece_length_beats - 1}"
+        )
+    start, end = grid.beat_span(beat)
+    return {e.pitch for e in events if e.onset_ticks < end and e.offset_ticks > start}

@@ -33,7 +33,7 @@ from slicevec.embedding import (
     save_embedding,
 )
 from slicevec.generator import GeneratorConfig, emit_midi, rewrite_piece, substitute_slice
-from slicevec.midi import parse_midi
+from slicevec.midi import MidiPiece, parse_midi
 from slicevec.rng import Rng
 from slicevec.slicer import (
     Slice,
@@ -46,7 +46,7 @@ from slicevec.slicer import (
     save_vocabulary,
     slices_from_piece,
 )
-from slicevec.synth import generate_piece, piece_events, piece_rng
+from slicevec.synth import generate_piece, piece_notes, piece_rng
 from slicevec.trainer import (
     EmbeddingMatrix,
     NoiseDistribution,
@@ -457,8 +457,8 @@ def test_criterion_8_round_trips(acc_main, acc_pieces, tmp_path, report):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             substitutes, _ = rewrite_piece(slices, space, GeneratorConfig(top_n=5))
-        events, grid = piece_events(beats)
-        piece = parse_midi(emit_midi(events, grid, substitutes))
+        notes, grid = piece_notes(beats)
+        piece = parse_midi(emit_midi(MidiPiece(notes, grid), substitutes))
         assert slices_from_piece(piece) == substitutes
 
         # corpus and vocabulary caches reload equal and re-save byte-stable

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import os
 import subprocess
@@ -285,6 +286,71 @@ def test_train_rejects_bad_inputs_in_one_line(capsys, corpus, vocab, flags, code
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A directory holding a corpus with every tonic triad, its caches and an embedding."""
+    run = tmp_path_factory.mktemp("run")
+    cwd = os.getcwd()
+    os.chdir(run)
+    try:
+        for argv in (
+            ["synth", "--out-dir", "midi", "--keys", "all", "--modes", "major,minor",
+             "--pieces-per-key", "1", "--bars", "4"],
+            ["ingest", "--corpus-dir", "midi", "--vocab-size", "150"],
+            ["train", "--dims", "8", "--steps", "50", "--loss-every", "50",
+             "--batch-size", "16"],
+        ):
+            assert main(argv) == 0, argv
+    finally:
+        os.chdir(cwd)
+    return run
+
+
+_CACHES = ["--corpus-cache", "{run}/corpus.txt", "--vocab-cache", "{run}/vocab.txt",
+           "--embedding-path", "{run}/embedding.txt"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["generate", "--midi-in", "{run}/midi/C_major_00.mid", "--midi-out", "nodir/x.mid",
+          "--top-n", "2", *_CACHES], 2,
+         "data error: [Errno 2] No such file or directory: 'nodir/x.mid'"),
+        (["generate", "--midi-in", "{run}/midi/C_major_00.mid", "--midi-out", "x.mid",
+          "--diagnostics", "nodir/d.csv", "--top-n", "2", *_CACHES], 2,
+         "data error: [Errno 2] No such file or directory: 'nodir/d.csv'"),
+        (["analyze", "chords", "--tonics", "C", "--out", "nodir/x.csv", *_CACHES], 2,
+         "data error: [Errno 2] No such file or directory: 'nodir/x.csv'"),
+        (["ingest", "--corpus-dir", "{run}/midi", "--corpus-cache", "nodir/c.txt"], 2,
+         "data error: [Errno 2] No such file or directory: 'nodir/c.txt'"),
+        (["train", "--dims", "4", "--steps", "5", "--batch-size", "4", *_CACHES[:4],
+          "--embedding-path", "nodir/e.txt"], 2,
+         "data error: [Errno 2] No such file or directory: 'nodir/e.txt'"),
+        (["synth", "--out-dir", "{run}/corpus.txt", "--keys", "C", "--bars", "2"], 2,
+         "data error: [Errno 17] File exists: '{run}/corpus.txt'"),
+        (["synth", "--out-dir", "long", "--keys", "C", "--bars", "65537"], 1,
+         "config error: 65537 bars are 262148 beats, beyond the 262144-beat limit"),
+        (["stats", "--config", "{run}"], 1, "config error: cannot read config file {run}:"),
+        (["stats", "--config", "{run}/midi/C_major_00.mid"], 1,
+         "config error: cannot read config file {run}/midi/C_major_00.mid: "
+         "'utf-8' codec can't decode"),
+    ],
+    ids=[
+        "generate-midi-out", "generate-diagnostics", "analyze-out", "ingest-corpus-cache",
+        "train-embedding-path", "synth-out-dir-is-a-file", "synth-beyond-beat-limit",
+        "config-is-a-directory", "config-not-utf8",
+    ],
+)
+def test_unreadable_config_and_unwritable_outputs_exit_in_one_line(
+    capsys, trained_run, argv, code, prefix
+):
+    rc = main([arg.format(run=trained_run) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith(prefix.format(run=trained_run)) and err.count("\n") == 1, err
+    assert not os.path.exists("long")
+
+
 def test_analyze_rejects_trailing_embedding_line(capsys):
     with open("embedding.txt", "w") as fh:
         fh.write("SLICEVEC v1 2 2\nUNK 0.5 0.25\n0.4.7 1.0 -1.0\n7.11.2 1.0 1.0\n")
@@ -320,6 +386,8 @@ _GOLDEN_SHA256 = {
         "98db57aea4f7f7cbbd5a58291d815767e031ca52052075dbbea58d4953703a92",
     "out.mid":
         "f92abb2131d0fdacf7593d3e3195188992a446ff672e6c11d515a0f269bdbafd",
+    "midi/*.mid":  # the 16 synthesized files, concatenated in sorted-name order
+        "0099e05b0a3b9f72d711919261daebfeeaf5f1183d5f983643218bfd55c7a00a",
 }
 
 
@@ -339,8 +407,10 @@ def test_pipeline_outputs_keep_their_bytes(capsys):
     for argv in steps:
         assert main(argv) == 0, argv
     capsys.readouterr()
-    digests = {
-        name: hashlib.sha256(open(name, "rb").read()).hexdigest()
-        for name in _GOLDEN_SHA256
-    }
+    digests = {}
+    for name in _GOLDEN_SHA256:
+        digest = hashlib.sha256()
+        for path in sorted(glob.glob(name)):
+            digest.update(open(path, "rb").read())
+        digests[name] = digest.hexdigest()
     assert digests == _GOLDEN_SHA256

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from midi_oracle import note_array, sounding_pitches
 
 from slicevec.embedding import EmbeddingSpace
 from slicevec.generator import (
@@ -20,7 +21,7 @@ from slicevec.generator import (
     save_diagnostics,
     substitute_slice,
 )
-from slicevec.midi import BeatGrid, NoteEvent, parse_midi
+from slicevec.midi import BeatGrid, MidiPiece, NoteEvent, parse_midi
 from slicevec.slicer import Slice, slices_from_piece
 
 
@@ -272,7 +273,6 @@ def _beats_to_events(beats, tpb):
 
 
 def slices_from_piece_events(events, grid):
-    from slicevec.midi import sounding_pitches
     from slicevec.slicer import make_slice
 
     return [
@@ -286,7 +286,7 @@ def test_emit_midi_preserves_unchanged_events():
     events = [NoteEvent(64, 0, 25, 3), NoteEvent(67, 5, 30, 0)]
     grid = BeatGrid(tpb, 3)
     substitutes = slices_from_piece_events(events, grid)  # identical slices
-    piece = parse_midi(emit_midi(events, grid, substitutes))
+    piece = parse_midi(emit_midi(MidiPiece(note_array(events), grid), substitutes))
     assert sorted(piece.events, key=lambda e: (e.onset_ticks, e.pitch)) == sorted(
         events, key=lambda e: (e.onset_ticks, e.pitch)
     )
@@ -297,7 +297,7 @@ def test_emit_midi_splits_held_note_around_changed_beat():
     events = [NoteEvent(60, 0, 40, 0)]
     grid = BeatGrid(tpb, 4)
     substitutes = [Slice((0,)), Slice((2,)), Slice((0,)), Slice((0,))]
-    piece = parse_midi(emit_midi(events, grid, substitutes))
+    piece = parse_midi(emit_midi(MidiPiece(note_array(events), grid), substitutes))
     got = sorted(piece.events, key=lambda e: (e.onset_ticks, e.pitch))
     assert got == [
         NoteEvent(60, 0, 10, 0),
@@ -312,7 +312,7 @@ def test_emit_midi_fills_changed_rest_beat():
     events = [NoteEvent(64, 0, 16, 2)]
     grid = BeatGrid(tpb, 4)
     substitutes = [Slice((4,)), Slice((4,)), Slice((0, 4, 7)), Slice((11,))]
-    piece = parse_midi(emit_midi(events, grid, substitutes))
+    piece = parse_midi(emit_midi(MidiPiece(note_array(events), grid), substitutes))
     got = sorted(piece.events, key=lambda e: (e.onset_ticks, e.pitch))
     assert got == [
         NoteEvent(64, 0, 16, 2),
@@ -327,7 +327,7 @@ def test_emit_midi_fills_changed_rest_beat():
 def test_emit_midi_length_mismatch():
     grid = BeatGrid(10, 4)
     with pytest.raises(ValueError, match="substitutes"):
-        emit_midi([], grid, [Slice((0,))])
+        emit_midi(MidiPiece(note_array([]), grid), [Slice((0,))])
 
 
 def test_emit_parse_slice_round_trip_random():
@@ -347,5 +347,6 @@ def test_emit_parse_slice_round_trip_random():
                 substitutes[b] = Slice(tuple(sorted(rnd.sample(range(12), k))))
         # keep the final beat audible so the parsed piece keeps its length
         substitutes[-1] = Slice((rnd.randrange(12),))
-        piece = parse_midi(emit_midi(events, BeatGrid(tpb, n_beats), substitutes))
+        piece = MidiPiece(note_array(events), BeatGrid(tpb, n_beats))
+        piece = parse_midi(emit_midi(piece, substitutes))
         assert slices_from_piece(piece) == substitutes

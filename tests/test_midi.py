@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 import struct
 
+import numpy as np
 import pytest
+from midi_oracle import note_array, sounding_pitches
 
 from slicevec.midi import (
     MAX_BEATS,
@@ -15,7 +17,6 @@ from slicevec.midi import (
     _read_varlen,
     _write_varlen,
     parse_midi,
-    sounding_pitches,
     write_smf,
 )
 
@@ -274,7 +275,7 @@ def test_write_then_parse_recovers_events():
             offset = onset + rnd.randrange(1, 20)
             cursor_by_pitch[key] = offset  # same-pitch events never overlap
             events.append(NoteEvent(pitch, onset, offset, channel))
-        data = write_smf(events, 24)
+        data = write_smf(note_array(events), 24)
         parsed = parse_midi(data)
         assert sorted(parsed.events, key=lambda e: (e.onset_ticks, e.channel, e.pitch)) == sorted(
             events, key=lambda e: (e.onset_ticks, e.channel, e.pitch)
@@ -290,7 +291,7 @@ def test_write_parse_preserves_sounding_sets_with_overlaps():
         NoteEvent(64, 5, 25, 0),
     ]
     grid = BeatGrid(10, 3)
-    parsed = parse_midi(write_smf(events, 10))
+    parsed = parse_midi(write_smf(note_array(events), 10))
     for beat in range(3):
         assert sounding_pitches(parsed.events, parsed.grid, beat) == sounding_pitches(
             events, grid, beat
@@ -299,23 +300,20 @@ def test_write_parse_preserves_sounding_sets_with_overlaps():
 
 def test_writer_bytes_do_not_depend_on_event_order():
     rnd = random.Random(3)
-    events = [
-        NoteEvent(60, 0, 10, 0),
-        NoteEvent(64, 0, 10, 1),
-        NoteEvent(67, 5, 15, 0),
-        NoteEvent(60, 10, 20, 0),
-    ]
-    reference = write_smf(events, 10)
+    notes = np.array(
+        [(60, 0, 10, 0), (64, 0, 10, 1), (67, 5, 15, 0), (60, 10, 20, 0)], dtype=np.int64
+    )
+    reference = write_smf(notes, 10)
     for _ in range(5):
-        shuffled = events[:]
-        rnd.shuffle(shuffled)
-        assert write_smf(shuffled, 10) == reference
+        order = list(range(len(notes)))
+        rnd.shuffle(order)
+        assert write_smf(notes[order], 10) == reference
 
 
 def test_writer_emits_offs_before_ons_at_shared_ticks():
     # back-to-back same-pitch notes: the off at tick 10 must precede the on
     events = [NoteEvent(60, 0, 10, 0), NoteEvent(60, 10, 20, 0)]
-    parsed = parse_midi(write_smf(events, 10))
+    parsed = parse_midi(write_smf(note_array(events), 10))
     assert parsed.events == events
     assert parsed.unclosed_notes == 0
 
@@ -323,16 +321,16 @@ def test_writer_emits_offs_before_ons_at_shared_ticks():
 def test_writer_accepts_largest_delta_and_refuses_larger():
     largest = (1 << 28) - 1
     events = [NoteEvent(60, 0, largest, 0)]
-    parsed = parse_midi(write_smf(events, 0x7FFF))
+    parsed = parse_midi(write_smf(note_array(events), 0x7FFF))
     assert parsed.events == events
     with pytest.raises(ValueError, match="variable-length"):
-        write_smf([NoteEvent(60, 0, largest + 1, 0)], 0x7FFF)
+        write_smf([(60, 0, largest + 1, 0)], 0x7FFF)
     with pytest.raises(ValueError, match="variable-length"):
-        write_smf([NoteEvent(60, largest + 1, largest + 2, 0)], 0x7FFF)
+        write_smf([(60, largest + 1, largest + 2, 0)], 0x7FFF)
 
 
 def test_writer_header_fields():
-    data = write_smf([NoteEvent(60, 0, 5, 0)], 48)
+    data = write_smf([(60, 0, 5, 0)], 48)
     fmt, ntrks, division = struct.unpack(">HHH", data[8:14])
     assert (fmt, ntrks, division) == (0, 1, 48)
 
@@ -350,3 +348,46 @@ def test_note_event_validation():
         NoteEvent(60, 5, 5, 0)
     with pytest.raises(ValueError):
         NoteEvent(60, 0, 1, 16)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (128, 0, 1, 0),  # pitch above 127
+        (-1, 0, 1, 0),  # negative pitch
+        (60, 0, 1, 16),  # channel above 15
+        (60, 0, 1, -1),  # negative channel
+        (60, 5, 5, 0),  # offset == onset
+        (60, 5, 4, 0),  # offset < onset
+    ],
+)
+def test_writer_refuses_rows_a_note_event_refuses(row):
+    with pytest.raises(ValueError, match=r"note row \[[-0-9, ]+\]"):
+        write_smf([(60, 0, 10, 0), row], 10)
+    with pytest.raises(ValueError):
+        NoteEvent(*row)
+
+
+@pytest.mark.parametrize("velocity", [0, 128, -1])
+def test_writer_refuses_velocity_outside_data_byte_range(velocity):
+    with pytest.raises(ValueError, match="velocity"):
+        write_smf([(60, 0, 10, 0)], 10, velocity=velocity)
+
+
+def test_writer_never_puts_a_status_byte_where_a_data_byte_belongs():
+    rows = [(p, p, p + 1 + c, c) for p in range(128) for c in (0, 9, 15)]
+    for velocity in (1, 127):
+        data = write_smf(rows, 7, velocity=velocity)
+        pos = 22 + 7  # past the header, the track header and the tempo meta
+        n_messages = 0
+        while True:
+            while data[pos] & 0x80:  # delta-time continuation bytes
+                pos += 1
+            status, d1, d2 = data[pos + 1 : pos + 4]
+            pos += 4
+            if status == 0xFF:  # the end-of-track meta
+                break
+            assert status & 0xF0 in (0x80, 0x90)
+            assert d1 < 0x80 and d2 < 0x80
+            n_messages += 1
+        assert (d1, pos, n_messages) == (0x2F, len(data), 2 * len(rows))

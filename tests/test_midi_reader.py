@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
-from midi_oracle import parse_midi_reference
+from midi_oracle import note_array, parse_midi_reference
 
 from slicevec.midi import (
     PERCUSSION_CHANNEL,
@@ -28,7 +28,7 @@ from slicevec.midi import (
     write_smf,
 )
 from slicevec.slicer import slices_from_piece
-from slicevec.synth import generate_piece, piece_events, piece_rng
+from slicevec.synth import generate_piece, piece_notes, piece_rng
 
 FIXED = settings(
     derandomize=True,
@@ -118,10 +118,6 @@ def damaged_smf_files(draw) -> bytes:
     return data[:at] + byte + data[at:]
 
 
-def note_rows(events: list[NoteEvent]) -> list[list[int]]:
-    return [[e.pitch, e.onset_ticks, e.offset_ticks, e.channel] for e in events]
-
-
 def assert_matches_reference(data: bytes) -> None:
     try:
         events, grid, unclosed = parse_midi_reference(data)
@@ -132,7 +128,7 @@ def assert_matches_reference(data: bytes) -> None:
         return
     piece = parse_midi(data)
     assert piece.notes.dtype == np.int64 and piece.notes.shape == (len(events), 4)
-    assert piece.notes.tolist() == note_rows(events)
+    assert piece.notes.tolist() == note_array(events).tolist()
     assert piece.events == events
     assert piece.grid == grid
     assert piece.unclosed_notes == unclosed
@@ -207,7 +203,7 @@ def note_lists(draw) -> list[NoteEvent]:
 @seed(12)
 @given(note_lists(), st.sampled_from((1, 3, 24, 480)))
 def test_write_smf_round_trips(events, ticks_per_beat):
-    piece = parse_midi(write_smf(events, ticks_per_beat))
+    piece = parse_midi(write_smf(note_array(events), ticks_per_beat))
     kept = [e for e in events if e.channel != PERCUSSION_CHANNEL]
 
     def order(e):
@@ -225,9 +221,9 @@ def test_notes_and_events_agree_on_a_two_mode_corpus():
         for mode in ("major", "minor"):
             for index in range(2):
                 beats = generate_piece(root, mode, 6, piece_rng(4, root, mode, index))
-                events, grid = piece_events(beats)
-                parsed = parse_midi(write_smf(events, grid.ticks_per_beat))
-                assert parsed.notes.tolist() == note_rows(parsed.events)
-                built = MidiPiece(parsed.events, parsed.grid)
+                notes, grid = piece_notes(beats)
+                parsed = parse_midi(write_smf(notes, grid.ticks_per_beat))
+                assert parsed.notes.tolist() == note_array(parsed.events).tolist()
+                built = MidiPiece(note_array(parsed.events), parsed.grid)
                 assert np.array_equal(built.notes, parsed.notes)
                 assert slices_from_piece(built) == slices_from_piece(parsed)

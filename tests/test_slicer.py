@@ -7,8 +7,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from midi_oracle import note_array, sounding_pitches
 
-from slicevec.midi import BeatGrid, MidiPiece, NoteEvent, sounding_pitches
+from slicevec.midi import BeatGrid, MidiPiece, NoteEvent
 from slicevec.slicer import (
     EncodedCorpus,
     Slice,
@@ -84,7 +85,7 @@ def test_slices_from_piece():
         NoteEvent(67, 10, 20, 0),
         NoteEvent(76, 30, 40, 0),
     ]
-    piece = MidiPiece(events, BeatGrid(10, 4))
+    piece = MidiPiece(note_array(events), BeatGrid(10, 4))
     forms = [s.form for s in slices_from_piece(piece)]
     assert forms == ["0", "0.7", "R", "4"]
 
@@ -123,19 +124,19 @@ def test_slices_from_piece_matches_per_beat_oracle():
         n_beats = rnd.choice(
             (full, full, rnd.randrange(0, full + 1), full + rnd.randrange(1, 4))
         )
-        piece = MidiPiece(events, BeatGrid(tpb, n_beats))
+        piece = MidiPiece(note_array(events), BeatGrid(tpb, n_beats))
         assert slices_from_piece(piece) == _per_beat_slices(piece), trial
 
 
 def test_slices_from_piece_without_events_or_beats():
-    assert slices_from_piece(MidiPiece([], BeatGrid(4, 3))) == [Slice(())] * 3
-    assert slices_from_piece(MidiPiece([], BeatGrid(4, 0))) == []
-    held = [NoteEvent(60, 0, 8, 0)]
+    assert slices_from_piece(MidiPiece(note_array([]), BeatGrid(4, 3))) == [Slice(())] * 3
+    assert slices_from_piece(MidiPiece(note_array([]), BeatGrid(4, 0))) == []
+    held = note_array([NoteEvent(60, 0, 8, 0)])
     assert slices_from_piece(MidiPiece(held, BeatGrid(4, 0))) == []
 
 
 def test_equal_slices_are_one_object(tmp_path):
-    piece = MidiPiece([NoteEvent(60, 0, 8, 0), NoteEvent(72, 8, 12, 0)], BeatGrid(4, 4))
+    piece = MidiPiece(note_array([NoteEvent(60, 0, 8, 0), NoteEvent(72, 8, 12, 0)]), BeatGrid(4, 4))
     slices = slices_from_piece(piece)
     assert [s.form for s in slices] == ["0", "0", "0", "R"]
     assert slices[0] is slices[1] is slices[2]

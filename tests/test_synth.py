@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
-from slicevec.midi import parse_midi
+from slicevec.midi import MAX_BEATS, parse_midi
 from slicevec.slicer import make_slice, slices_from_piece
 from slicevec.synth import (
     BEATS_PER_BAR,
@@ -14,7 +15,7 @@ from slicevec.synth import (
     generate_piece,
     key_filename,
     parse_key_filename,
-    piece_events,
+    piece_notes,
     piece_rng,
     synth_corpus,
 )
@@ -87,16 +88,16 @@ def test_generate_piece_rejects_empty():
         generate_piece(0, "major", 0, piece_rng(1, 0, "major", 0))
 
 
-def test_piece_events_merges_holds():
+def test_piece_notes_merges_holds():
     beats = [(0, 4), (0, 4), (7,), (), (7,)]
-    events, grid = piece_events(beats)
+    notes, grid = piece_notes(beats)
     tpb = TICKS_PER_BEAT
-    spans = [(e.pitch, e.onset_ticks, e.offset_ticks) for e in events]
-    assert spans == [
-        (60, 0, 2 * tpb),
-        (64, 0, 2 * tpb),
-        (67, 2 * tpb, 3 * tpb),
-        (67, 4 * tpb, 5 * tpb),
+    assert notes.dtype == np.int64
+    assert notes.tolist() == [
+        [60, 0, 2 * tpb, 0],
+        [64, 0, 2 * tpb, 0],
+        [67, 2 * tpb, 3 * tpb, 0],
+        [67, 4 * tpb, 5 * tpb, 0],
     ]
     assert grid.ticks_per_beat == tpb and grid.piece_length_beats == 5
 
@@ -106,8 +107,8 @@ def test_piece_round_trips_through_midi():
 
     for root, mode in [(0, "major"), (7, "major"), (9, "minor")]:
         beats = generate_piece(root, mode, 8, piece_rng(5, root, mode, 2))
-        events, grid = piece_events(beats)
-        piece = parse_midi(write_smf(events, grid.ticks_per_beat))
+        notes, grid = piece_notes(beats)
+        piece = parse_midi(write_smf(notes, grid.ticks_per_beat))
         assert piece.grid.piece_length_beats == len(beats)
         assert slices_from_piece(piece) == [make_slice(b) for b in beats]
 
@@ -161,3 +162,11 @@ def test_synth_corpus_validation(tmp_path):
         synth_corpus(str(tmp_path), ["C"], ["major"], 0, 4, seed=1)
     with pytest.raises(ValueError):
         synth_corpus(str(tmp_path), [], ["major"], 1, 4, seed=1)
+
+
+def test_synth_corpus_refuses_pieces_parse_midi_refuses(tmp_path):
+    out = tmp_path / "long"
+    n_bars = MAX_BEATS // BEATS_PER_BAR + 1
+    with pytest.raises(ValueError, match=f"beyond the {MAX_BEATS}-beat limit"):
+        synth_corpus(str(out), ["C"], ["major"], 1, n_bars, seed=1)
+    assert not out.exists()
