@@ -92,18 +92,14 @@ def chord_distance_profile(
     tonic_form = tonic.to_slice().form
     if tonic_form not in space:
         raise KeyError(f"tonic slice {tonic_form} is not in the vocabulary")
-    tonic_id = space.id_of(tonic_form)
+    tonic_vec = space.vector(space.id_of(tonic_form))
     profile: dict[str, float | None] = {}
     for role in roles:
         chord_form = realize_role(role, tonic.root, mode).to_slice().form
         if chord_form not in space:
             profile[role] = None
             continue
-        role_id = space.id_of(chord_form)
-        if role_id == tonic_id:
-            profile[role] = 0.0
-        else:
-            profile[role] = cosine_distance(space.vector(tonic_id), space.vector(role_id))
+        profile[role] = cosine_distance(tonic_vec, space.vector(space.id_of(chord_form)))
     return profile
 
 
@@ -209,6 +205,7 @@ def key_similarity_matrix(
         dtype=np.intp,
     ).reshape(-1, 12)
     total = np.zeros((12, 12), dtype=np.float64)
+    i, j = np.triu_indices(12, 1)
     used = 0
     for idx, (ids, (_, piece_root)) in enumerate(zip(pieces_ids, pieces)):
         centroids = []
@@ -224,11 +221,11 @@ def key_similarity_matrix(
                 "piece excluded from the key-similarity average"
             )
             continue
-        for i in range(12):
-            for j in range(i + 1, 12):
-                d = cosine_distance(centroids[i], centroids[j])
-                total[i, j] += d
-                total[j, i] += d
+        centroids = np.stack(centroids)
+        # a running sum: one addition per element and piece, in piece order
+        dist = cosine_distance(centroids[i], centroids[j])
+        total[i, j] += dist
+        total[j, i] += dist
         used += 1
     if used == 0:
         raise ValueError("every piece was excluded; cannot build key matrix")

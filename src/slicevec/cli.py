@@ -111,6 +111,19 @@ def _parse_midi_files(paths: list[str]) -> list[tuple[str, object]]:
     return parsed
 
 
+def _check_writable(paths: list[str]) -> None:
+    """Open (not truncate) every output before any is written; on OSError remove new ones."""
+    new = [path for path in paths if not os.path.exists(path)]
+    try:
+        for path in paths:
+            open(path, "ab").close()
+    except OSError:
+        for path in new:
+            if os.path.exists(path):
+                os.remove(path)
+        raise
+
+
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
     parsed = _parse_midi_files(_midi_paths(cfg.corpus_dir))
     if not parsed:
@@ -123,6 +136,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     if not all_slices:
         raise DataError("corpus contains no beats; cannot build a vocabulary")
     vocab = build_vocabulary(iter(all_slices), cfg.vocab_size)
+    _check_writable([cfg.corpus_cache, cfg.vocab_cache])
     save_corpus(cfg.corpus_cache, pieces)
     save_vocabulary(cfg.vocab_cache, vocab)
     unique = len({s.form for s in all_slices})
@@ -169,17 +183,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     pieces, vocab = _load_caches(cfg)
     corpus = encode_corpus(pieces, vocab)
     try:
-        tconfig = TrainingConfig(
-            dims=cfg.dims,
-            window_c=cfg.window_c,
-            num_skips_k=cfg.num_skips_k,
-            negative_samples=cfg.negative_samples,
-            learning_rate=cfg.learning_rate,
-            batch_size=cfg.batch_size,
-            steps=cfg.steps,
-            seed=cfg.seed,
-            loss_every=cfg.loss_every,
-        )
+        tconfig = TrainingConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainingConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
@@ -187,6 +191,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from None
     space = EmbeddingSpace.from_training(vocab, emb)
+    _check_writable([cfg.embedding_path, cfg.loss_csv])
     save_embedding(cfg.embedding_path, space)
     trace.save_csv(cfg.loss_csv)
     if trace.checkpoints:
@@ -305,6 +310,7 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
         raise ConfigError(str(exc)) from None
     substitutes, diagnostics = generator.rewrite_piece(slices, space, gconfig)
     data = generator.emit_midi(piece, substitutes)
+    _check_writable([args.midi_out] + ([args.diagnostics] if args.diagnostics else []))
     with open(args.midi_out, "wb") as fh:
         fh.write(data)
     if args.diagnostics:
@@ -326,14 +332,8 @@ def cmd_stats(args, cfg: PipelineConfig) -> int:
         print(f"UNK occurrences: {unk} ({100.0 * unk / total:.2f}% of tokens)")
     ranked = sorted(vocab.items(), key=lambda item: (-item[2], item[1]))
     print("most frequent slices:")
-    shown = 0
-    for token, form, count in ranked:
-        if token == vocab.unk_id:
-            continue
+    for _, form, count in [item for item in ranked if item[0] != vocab.unk_id][:10]:
         print(f"  {form}: {count}")
-        shown += 1
-        if shown == 10:
-            break
     return EXIT_OK
 
 

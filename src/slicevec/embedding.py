@@ -92,24 +92,24 @@ class EmbeddingSpace:
         return self._vectors[token]
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Dot(a, b) / (|a| |b|), clamped into [-1, 1]."""
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Dot(a, b) / (|a| |b|) along the last axis, clamped into [-1, 1].
+
+    Broadcasts as np.vecdot: two vectors give a float, rows one value per row.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if not (a.any() and b.any()):
+    norm_a, norm_b = np.sqrt(np.vecdot(a, a)), np.sqrt(np.vecdot(b, b))
+    if not (norm_a.all() and norm_b.all()):  # a zero row, or one whose norm underflows
         raise ValueError("cosine is undefined for a zero vector")
-    # bitwise-equal (or exactly opposite) vectors are exactly parallel;
-    # returning the exact limit keeps self-distances at literal zero
-    if a.shape == b.shape:
-        if np.array_equal(a, b):
-            return 1.0
-        if np.array_equal(a, -b):
-            return -1.0
-    sim = float(a @ b) / (math.sqrt(float(a @ a)) * math.sqrt(float(b @ b)))
-    return min(1.0, max(-1.0, sim))
+    sim = np.vecdot(a, b) / (norm_a * norm_b)
+    sim = np.fmin(1.0, np.fmax(-1.0, sim))
+    # equal or opposite rows get the exact limit: self-distances are literal zero
+    sim = np.where((a == b).all(-1), 1.0, np.where((a == -b).all(-1), -1.0, sim))
+    return float(sim) if sim.ndim == 0 else sim
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
+def cosine_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """1 - cosine_similarity, in [0, 2]."""
     return 1.0 - cosine_similarity(a, b)
 
@@ -131,18 +131,14 @@ def nearest(
         raise KeyError(f"token id {query} out of range")
     if n < 1:
         raise ValueError("n must be >= 1")
-    qvec = space.vector(query)
-    unk = space.unk_id
-    ranked: list[tuple[float, str, int]] = []
-    for cand in range(space.size):
-        if exclude_self and cand == query:
-            continue
-        if exclude_unk and cand == unk:
-            continue
-        dist = cosine_distance(qvec, space.vector(cand))
-        ranked.append((dist, space.form_of(cand), cand))
-    ranked.sort()
-    return [(cand, dist) for dist, _, cand in ranked[:n]]
+    keep = np.ones(space.size, dtype=bool)
+    keep[query] = not exclude_self
+    if exclude_unk and space.unk_id is not None:
+        keep[space.unk_id] = False
+    cands = np.flatnonzero(keep)
+    dist = cosine_distance(space.vector(query), space.vectors[cands])
+    order = np.lexsort((np.array(space.forms)[cands], dist))[:n]
+    return list(zip(cands[order].tolist(), dist[order].tolist()))
 
 
 def pair_vector_angle(space: EmbeddingSpace, a1: int, b1: int, a2: int, b2: int) -> float:

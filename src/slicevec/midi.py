@@ -285,12 +285,15 @@ def write_smf(
     Messages are emitted in (tick, off-before-on, channel, pitch) order so the
     byte stream is deterministic. All note-ons carry the same velocity; the
     pipeline does not model dynamics. ValueError is raised for a row with
-    pitch outside 0..127, channel outside 0..15 or offset <= onset, and for a
+    pitch outside 0..127, channel outside 0..15 or offset <= onset, for a
     gap of more than MAX_VARLEN ticks between consecutive messages, because
-    parse_midi reads delta times of at most 4 bytes.
+    parse_midi reads delta times of at most 4 bytes, and for a ticks_per_beat
+    outside 1..0x7FFF (0x8000 marks SMPTE time) or a tempo outside 1..0xFFFFFF.
     """
-    if ticks_per_beat <= 0:
-        raise ValueError("ticks_per_beat must be positive")
+    if not 1 <= ticks_per_beat <= 0x7FFF:
+        raise ValueError(f"ticks_per_beat {ticks_per_beat} outside 1..0x7FFF")
+    if not 1 <= tempo_us_per_beat <= 0xFFFFFF:
+        raise ValueError(f"tempo_us_per_beat {tempo_us_per_beat} outside 1..0xFFFFFF")
     if not 1 <= velocity <= 127:
         raise ValueError(f"velocity {velocity} outside 1..127")
     notes = np.asarray(notes, dtype=np.int64).reshape(-1, 4)

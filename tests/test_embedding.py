@@ -55,6 +55,51 @@ def test_cosine_exact_parallel_shortcut():
     assert cosine_similarity(v, -v) == -1.0
     assert cosine_distance(v, v) == 0.0
     assert cosine_distance(v, -v) == 2.0
+    # as rows: an equal row (-0.0 equals 0.0) is 1.0, an opposite row -1.0
+    w = np.array([0.0, 1 / 3, -5.0])
+    rows = np.array([v, -v, [-0.0, 1 / 3, -5.0], -w, v + 1.0])
+    got = cosine_similarity(rows, w)
+    assert got.tolist()[1:4] == [cosine_similarity(-v, w), 1.0, -1.0]
+    assert cosine_similarity(rows, rows).tolist() == [1.0] * 5
+    assert cosine_distance(rows, rows[::-1]).tolist()[2] == 0.0
+    assert isinstance(cosine_similarity(v, w), float)
+
+
+def test_cosine_rows_equal_per_pair_calls():
+    gen = np.random.default_rng(8)
+    rows = gen.normal(size=(40, 7))
+    other = gen.normal(size=(40, 7))
+    got = cosine_similarity(rows, other)
+    assert got.shape == (40,)
+    assert got.tolist() == [cosine_similarity(a, b) for a, b in zip(rows, other)]
+    assert cosine_similarity(rows, other[0]).tolist() == [
+        cosine_similarity(a, other[0]) for a in rows
+    ]
+
+
+@pytest.mark.parametrize("dims", [1, 3, 64, 256, 257])
+def test_vecdot_rows_give_the_bits_of_per_pair_dots(dims):
+    # cosine_similarity takes its row dots from np.vecdot; its outputs match
+    # the per-pair code only while each row gets the bits of the 1-D a @ b
+    gen = np.random.default_rng(dims)
+    wide = gen.normal(size=(24, 2 * dims)) * 10.0 ** gen.integers(-3, 4, size=(24, 1))
+    wide[::5, ::3] = -0.0
+    layouts = {
+        "contiguous": np.ascontiguousarray(wide[:, :dims]),
+        "strided": wide[:, ::2],
+        "fortran": np.asfortranarray(wide[:, dims:]),
+        "reversed rows": wide[::-1, 1 : dims + 1],
+    }
+    q = gen.normal(size=dims)
+    for name, rows in layouts.items():
+        others = np.roll(rows, 1, axis=0)
+        for got, pairs in (
+            (np.vecdot(rows, q), [(a, q) for a in rows]),
+            (np.vecdot(rows, others), list(zip(rows, others))),
+            (np.vecdot(rows, rows), [(a, a) for a in rows]),
+        ):
+            want = np.array([float(a @ b) for a, b in pairs])
+            assert got.tobytes() == want.tobytes(), name
 
 
 def test_cosine_clamped_to_unit_interval():
@@ -71,6 +116,13 @@ def test_cosine_rejects_zero_vector():
         cosine_similarity([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(ValueError, match="zero vector"):
         cosine_similarity([1.0, 0.0], [0.0, -0.0])
+    with pytest.raises(ValueError, match="zero vector"):
+        cosine_similarity([[1.0, 0.0], [0.0, -0.0]], [1.0, 1.0])
+    with pytest.raises(ValueError, match="zero vector"):
+        cosine_distance([1.0, 1.0], [[1.0, 2.0], [0.0, 0.0]])
+    # nonzero, but its squared norm underflows to 0.0: no finite cosine either
+    with pytest.raises(ValueError, match="zero vector"):
+        cosine_similarity([1e-200, 0.0], [1.0, 1.0])
 
 
 def _random_forms(rnd, size, with_unk):
@@ -141,10 +193,16 @@ def test_nearest_edge_cases():
     space = EmbeddingSpace(["0", "4", "7"], np.eye(3))
     assert nearest(space, 0, 1, exclude_self=False)[0] == (0, 0.0)
     assert len(nearest(space, 0, 99)) == 2
+    assert nearest(EmbeddingSpace(["0"], np.ones((1, 2))), 0, 3) == []
     with pytest.raises(ValueError):
         nearest(space, 0, 0)
     with pytest.raises(KeyError):
         nearest(space, 3, 1)
+    # an excluded zero row (here UNK) is never measured, so it never raises
+    zero_unk = EmbeddingSpace(["UNK", "0", "4"], np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert nearest(zero_unk, 1, 5) == [(2, 1.0)]
+    with pytest.raises(ValueError, match="zero vector"):
+        nearest(zero_unk, 1, 5, exclude_unk=False)
 
 
 def test_pair_vector_angle_right_angles():

@@ -374,6 +374,29 @@ def test_writer_refuses_velocity_outside_data_byte_range(velocity):
         write_smf([(60, 0, 10, 0)], 10, velocity=velocity)
 
 
+@pytest.mark.parametrize(
+    "ticks_per_beat, tempo, match",
+    [
+        (0, 500_000, "ticks_per_beat"),
+        (-1, 500_000, "ticks_per_beat"),
+        (0x8000, 500_000, "ticks_per_beat"),  # the SMPTE bit, which parse_midi refuses
+        (0x10000, 500_000, "ticks_per_beat"),  # beyond the 16-bit field
+        (96, 0, "tempo_us_per_beat"),
+        (96, 1 << 24, "tempo_us_per_beat"),  # beyond the 24-bit field
+    ],
+)
+def test_writer_refuses_header_fields_it_cannot_encode(ticks_per_beat, tempo, match):
+    with pytest.raises(ValueError, match=match):
+        write_smf([(60, 0, 10, 0)], ticks_per_beat, tempo_us_per_beat=tempo)
+
+
+def test_writer_accepts_the_largest_header_fields():
+    data = write_smf([(60, 0, 10, 0)], 0x7FFF, tempo_us_per_beat=0xFFFFFF)
+    assert struct.unpack(">H", data[12:14]) == (0x7FFF,)
+    assert data[22:29] == b"\x00\xff\x51\x03\xff\xff\xff"
+    assert parse_midi(data).grid.ticks_per_beat == 0x7FFF
+
+
 def test_writer_never_puts_a_status_byte_where_a_data_byte_belongs():
     rows = [(p, p, p + 1 + c, c) for p in range(128) for c in (0, 9, 15)]
     for velocity in (1, 127):
