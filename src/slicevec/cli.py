@@ -25,7 +25,7 @@ from .slicer import (
     save_vocabulary,
     slices_from_piece,
 )
-from .trainer import NumericalAbortError, TrainingConfig, train
+from .trainer import NumericalAbortError, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -33,7 +33,7 @@ EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
 
-class DataError(Exception):
+class DataError(ValueError):
     """Input files missing, unreadable, or inconsistent."""
 
 
@@ -171,25 +171,13 @@ def _load_caches(cfg: PipelineConfig):
     for path in (cfg.corpus_cache, cfg.vocab_cache):
         if not os.path.exists(path):
             raise DataError(f"missing cache file: {path} (run ingest first)")
-    try:
-        pieces = load_corpus(cfg.corpus_cache)
-        vocab = load_vocabulary(cfg.vocab_cache)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
-    return pieces, vocab
+    return load_corpus(cfg.corpus_cache), load_vocabulary(cfg.vocab_cache)
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
     pieces, vocab = _load_caches(cfg)
     corpus = encode_corpus(pieces, vocab)
-    try:
-        tconfig = TrainingConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainingConfig)})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        emb, trace = train(corpus, vocab, tconfig)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    emb, trace = train(corpus, vocab, cfg)
     space = EmbeddingSpace.from_training(vocab, emb)
     _check_writable([cfg.embedding_path, cfg.loss_csv])
     save_embedding(cfg.embedding_path, space)
@@ -204,10 +192,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 def _load_space(cfg: PipelineConfig) -> EmbeddingSpace:
     if not os.path.exists(cfg.embedding_path):
         raise DataError(f"missing embedding file: {cfg.embedding_path} (run train first)")
-    try:
-        return load_embedding(cfg.embedding_path)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    return load_embedding(cfg.embedding_path)
 
 
 def cmd_analyze(args, cfg: PipelineConfig) -> int:
@@ -272,10 +257,7 @@ def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) ->
             f"no {args.mode} piece with a key-labeled filename in {pieces_dir} parsed "
             f"({len(root_of)} skipped)"
         )
-    try:
-        matrix = analysis.key_similarity_matrix(space, labeled, args.mode)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    matrix = analysis.key_similarity_matrix(space, labeled, args.mode)
     matrix.save_csv(out)
     print(f"wrote {out} from {len(labeled)} pieces")
     return EXIT_OK
@@ -302,13 +284,7 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
     except (MidiParseError, OSError) as exc:
         raise DataError(f"{args.midi_in}: {exc}") from None
     slices = slices_from_piece(piece)
-    try:
-        gconfig = generator.GeneratorConfig(
-            top_n=cfg.top_n, exclude_identity=cfg.exclude_identity
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    substitutes, diagnostics = generator.rewrite_piece(slices, space, gconfig)
+    substitutes, diagnostics = generator.rewrite_piece(slices, space, cfg)
     data = generator.emit_midi(piece, substitutes)
     _check_writable([args.midi_out] + ([args.diagnostics] if args.diagnostics else []))
     with open(args.midi_out, "wb") as fh:
@@ -353,22 +329,15 @@ def main(argv: list[str] | None = None) -> int:
     flag_values = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
     try:
         cfg = resolve_config(flag_values, args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(cfg.dump())
-    try:
+        print(cfg.dump())
         return _COMMANDS[args.command](args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OSError as exc:  # e.g. an output path that cannot be written
+    except (ValueError, OSError) as exc:  # malformed inputs, unwritable outputs
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

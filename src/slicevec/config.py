@@ -11,6 +11,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 
+from .generator import GeneratorConfig
+from .trainer import TrainingConfig
+
 ENV_CONFIG = "SLICEVEC_CONFIG"
 
 
@@ -31,9 +34,10 @@ def parse_bool(text: str) -> bool:
 VALUE_PARSERS = {"str": str, "int": int, "float": float, "bool": parse_bool}
 
 
-@dataclass
-class PipelineConfig:
-    """Every knob the CLI exposes, with the reference defaults."""
+@dataclass(frozen=True)
+class PipelineConfig(TrainingConfig, GeneratorConfig):
+    """Every knob the CLI exposes: the training and generator settings with
+    their library defaults, plus the CLI's own paths and sizes."""
 
     corpus_dir: str = "corpus"
     corpus_cache: str = "corpus.txt"
@@ -41,20 +45,14 @@ class PipelineConfig:
     embedding_path: str = "embedding.txt"
     loss_csv: str = "loss.csv"
     vocab_size: int = 500
-    dims: int = 256
-    window_c: int = 4
-    num_skips_k: int = 2
-    negative_samples: int = 5
-    learning_rate: float = 0.1
-    batch_size: int = 128
-    steps: int = 1_000_000
-    loss_every: int = 2000
-    seed: int = 1
-    top_n: int = 5
-    exclude_identity: bool = True
     threads: int = 1  # training is single-threaded; kept so --threads 1 still parses
 
     def __post_init__(self):
+        try:
+            TrainingConfig.__post_init__(self)
+            GeneratorConfig.__post_init__(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must be >= 2")
         if self.threads != 1:
@@ -121,9 +119,4 @@ def resolve_config(
             if key not in field_types:
                 raise ConfigError(f"unknown config field {key!r}")
             merged[key] = value
-    try:
-        return PipelineConfig(**merged)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return PipelineConfig(**merged)

@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .embedding import EmbeddingSpace, nearest
 from .midi import MidiPiece, write_smf
 from .slicer import REST_FORM, Slice, slices_from_piece
@@ -165,24 +167,25 @@ def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice]) -> bytes:
     tpb = piece.grid.ticks_per_beat
     originals = slices_from_piece(piece)
     changed = [sub != orig for sub, orig in zip(substitutes, originals)]
-    rows = []
-    for pitch, onset, offset, channel in piece.notes.tolist():
-        first = onset // tpb
-        last = (offset - 1) // tpb
-        b = first
-        while b <= last:
-            if b < n_beats and changed[b]:
-                b += 1
-                continue
-            run_start = b
-            while b <= last and not (b < n_beats and changed[b]):
-                b += 1
-            seg_start = max(onset, run_start * tpb)
-            seg_end = min(offset, b * tpb)
-            if seg_end > seg_start:
-                rows.append((pitch, seg_start, seg_end, channel))
-    for b in range(n_beats):
-        if changed[b]:
-            for pc in substitutes[b].pitch_classes:
-                rows.append((RENDER_BASE_PITCH + pc, b * tpb, (b + 1) * tpb, 0))
+    # maximal runs of unchanged beats as tick intervals; beats from n_beats on are unchanged
+    step = np.diff(np.array([True] + changed + [False], dtype=np.int8))
+    starts = np.flatnonzero(step == -1) * tpb
+    ends = np.append(np.flatnonzero(step == 1) * tpb, np.iinfo(np.int64).max)
+    # note i overlaps runs first[i] .. first[i] + counts[i] - 1; one row per overlap
+    onset, offset = piece.notes[:, 1], piece.notes[:, 2]
+    first = np.searchsorted(ends, onset, side="right")
+    counts = np.maximum(np.searchsorted(starts, offset, side="left") - first, 0)
+    run = np.arange(counts.sum()) + np.repeat(first - np.cumsum(counts) + counts, counts)
+    rows = np.repeat(piece.notes, counts, axis=0)
+    rows[:, 1] = np.maximum(rows[:, 1], starts[run])
+    rows[:, 2] = np.minimum(rows[:, 2], ends[run])
+    rendered = [
+        (RENDER_BASE_PITCH + pc, b * tpb, (b + 1) * tpb, 0)
+        for b in range(n_beats)
+        if changed[b]
+        for pc in substitutes[b].pitch_classes
+    ]
+    rows = np.concatenate(
+        (rows[rows[:, 2] > rows[:, 1]], np.array(rendered, dtype=np.int64).reshape(-1, 4))
+    )
     return write_smf(rows, tpb, velocity=RENDER_VELOCITY)

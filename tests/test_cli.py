@@ -6,15 +6,17 @@ import contextlib
 import glob
 import hashlib
 import os
+import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 import slicevec
 from slicevec.analysis import CIRCLE_OF_FIFTHS, SimilarityMatrix
 from slicevec.cli import main
-from slicevec.midi import parse_midi
+from slicevec.midi import parse_midi, write_smf
 
 
 @pytest.fixture(autouse=True)
@@ -359,6 +361,62 @@ def test_unreadable_config_and_unwritable_outputs_exit_in_one_line(
     assert os.listdir() == []  # no output, partial or whole, is left behind
 
 
+def _embedding(rows):
+    dims = len(next(iter(rows.values())))
+    lines = [f"SLICEVEC v1 {len(rows)} {dims}"]
+    lines += [form + "".join(f" {v!r}" for v in vec) for form, vec in rows.items()]
+    return "\n".join(lines) + "\n"
+
+
+_ZERO_TONIC = _embedding({"UNK": (1.0, 0.0), "0.4.7": (0.0, 0.0), "2.7.11": (0.0, 1.0)})
+_EQUAL_I_V = _embedding(
+    {"UNK": (1.0, 0.0), "0.4.7": (0.0, 1.0), "2.7.11": (0.0, 1.0), "2.6.9": (1.0, 1.0)}
+)
+_C_MAJOR_CHORD = write_smf([(60, 0, 480, 0), (64, 0, 480, 0), (67, 0, 480, 0)], 480)
+# PPQ 0x7FFF; the note-on lies two MAX_VARLEN deltas (around a text event) in,
+# a silence that no single delta of a rewritten file can encode
+_SILENT_TRACK = (b"\xff\xff\xff\x7f\xff\x01\x00" + b"\xff\xff\xff\x7f\x90\x3c\x40"
+                 + b"\x01\x80\x3c\x00" + b"\x00\xff\x2f\x00")
+_LONG_SILENCE = (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 0x7FFF)
+                 + b"MTrk" + struct.pack(">I", len(_SILENT_TRACK)) + _SILENT_TRACK)
+
+
+@pytest.mark.parametrize(
+    "files, argv, code, prefix",
+    [
+        ({"embedding.txt": _ZERO_TONIC}, ["analyze", "chords", "--tonics", "C"], 2,
+         "data error: cosine is undefined for a zero vector"),
+        ({"embedding.txt": _EQUAL_I_V}, ["analyze", "analogy"], 2,
+         "data error: pair vector is zero"),
+        ({"embedding.txt": _ZERO_TONIC, "in.mid": _C_MAJOR_CHORD},
+         ["generate", "--midi-in", "in.mid", "--midi-out", "out.mid"], 2,
+         "data error: cosine is undefined for a zero vector"),
+        ({"embedding.txt": _ZERO_TONIC, "in.mid": _LONG_SILENCE},
+         ["generate", "--midi-in", "in.mid", "--midi-out", "out.mid"], 2,
+         "data error: variable-length quantity"),
+        ({}, ["ingest", "--dims", "0"], 1, "config error: dims must be >= 1"),
+        ({"top.cfg": "top_n = 0\n"}, ["stats", "--config", "top.cfg"], 1,
+         "config error: top_n must be >= 1"),
+    ],
+    ids=[
+        "chords-zero-tonic", "analogy-equal-rows", "generate-zero-row",
+        "generate-unencodable-silence", "ingest-dims-0", "stats-config-top-n-0",
+    ],
+)
+def test_measured_inputs_and_settings_fail_in_one_line(capsys, files, argv, code, prefix):
+    for name, content in files.items():
+        with open(name, "wb" if isinstance(content, bytes) else "w") as fh:
+            fh.write(content)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # roles missing from the tiny vocabulary
+        rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.splitlines()[-1].startswith(prefix)
+    assert "Traceback" not in err
+    assert not os.path.exists("out.mid")
+
+
 def test_analyze_rejects_trailing_embedding_line(capsys):
     with open("embedding.txt", "w") as fh:
         fh.write("SLICEVEC v1 2 2\nUNK 0.5 0.25\n0.4.7 1.0 -1.0\n7.11.2 1.0 1.0\n")
@@ -387,6 +445,10 @@ _GOLDEN_SHA256 = {
         "32a77bddc1f77f5ac01876f4bcbef63b6d2915eea35b2e2a9003f18225f14afd",
     "vocab.txt":
         "fccb9406b8c57a86c94f36fcfa64ec208e05a2989b77c1723aaba7f0d2235fd6",
+    "embedding.txt":
+        "b0a6103152f5660a706aeb0311b3160258272faaecedfce6a037558d1686b899",
+    "loss.csv":
+        "61e14d9536e194637ef3437671f8149e03334570adf13cbba49021de75f79ee7",
     "keys_major.csv":
         "43f9544700293bffb233898a997ad44fe6165dd6a81df04c2f210193244b8111",
     "keys_minor.csv":

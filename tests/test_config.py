@@ -124,6 +124,20 @@ def test_resolve_error_cases(tmp_path):
         resolve_config({}, str(bad_range))
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("dims", 0, "dims must be >= 1"), ("window_c", 3, "window_c must be"),
+     ("top_n", 0, "top_n must be >= 1")],
+)
+def test_resolve_refuses_training_and_generator_settings(tmp_path, key, value, message):
+    with pytest.raises(ConfigError, match=message):
+        resolve_config({key: value}, None)
+    path = tmp_path / "cfg"
+    path.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=message):
+        resolve_config({}, str(path))
+
+
 def test_dump_lists_every_field():
     cfg = PipelineConfig()
     dump = cfg.dump()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from midi_oracle import note_array, sounding_pitches
 
 from slicevec.embedding import EmbeddingSpace
 from slicevec.generator import (
+    RENDER_BASE_PITCH,
+    RENDER_VELOCITY,
     BeatDiagnostic,
     GeneratorConfig,
     Substitution,
@@ -21,7 +24,7 @@ from slicevec.generator import (
     save_diagnostics,
     substitute_slice,
 )
-from slicevec.midi import BeatGrid, MidiPiece, NoteEvent, parse_midi
+from slicevec.midi import BeatGrid, MidiPiece, NoteEvent, parse_midi, write_smf
 from slicevec.slicer import Slice, slices_from_piece
 
 
@@ -350,3 +353,72 @@ def test_emit_parse_slice_round_trip_random():
         piece = MidiPiece(note_array(events), BeatGrid(tpb, n_beats))
         piece = parse_midi(emit_midi(piece, substitutes))
         assert slices_from_piece(piece) == substitutes
+
+
+def _emit_midi_walk(piece, substitutes):
+    """Reference emit: walk every beat of every note, keeping its unchanged runs."""
+    n_beats = piece.grid.piece_length_beats
+    tpb = piece.grid.ticks_per_beat
+    changed = [sub != orig for sub, orig in zip(substitutes, slices_from_piece(piece))]
+    rows = []
+    for pitch, onset, offset, channel in piece.notes.tolist():
+        first = onset // tpb
+        last = (offset - 1) // tpb
+        b = first
+        while b <= last:
+            if b < n_beats and changed[b]:
+                b += 1
+                continue
+            run_start = b
+            while b <= last and not (b < n_beats and changed[b]):
+                b += 1
+            seg_start = max(onset, run_start * tpb)
+            seg_end = min(offset, b * tpb)
+            if seg_end > seg_start:
+                rows.append((pitch, seg_start, seg_end, channel))
+    for b in range(n_beats):
+        if changed[b]:
+            for pc in substitutes[b].pitch_classes:
+                rows.append((RENDER_BASE_PITCH + pc, b * tpb, (b + 1) * tpb, 0))
+    return write_smf(rows, tpb, velocity=RENDER_VELOCITY)
+
+
+def test_emit_midi_matches_the_beat_walk_on_random_pieces():
+    rnd = random.Random(47)
+    for _ in range(300):
+        tpb = rnd.choice([1, 2, 3, 7, 96, 480])
+        span = rnd.randrange(1, 12)  # beats the notes reach
+        events = []
+        for _ in range(rnd.randrange(0, 10)):
+            onset = rnd.randrange(0, span * tpb)
+            offset = rnd.randrange(onset + 1, span * tpb + 1)
+            events.append(NoteEvent(rnd.randrange(128), onset, offset, rnd.randrange(16)))
+        # grids shorter than, equal to and longer than the notes
+        grid = BeatGrid(tpb, max(1, span + rnd.randrange(-3, 4)))
+        piece = MidiPiece(note_array(events), grid)
+        substitutes = [
+            Slice(tuple(sorted(rnd.sample(range(12), rnd.randrange(4)))))
+            if rnd.random() < 0.5 else orig
+            for orig in slices_from_piece(piece)
+        ]
+        assert emit_midi(piece, substitutes) == _emit_midi_walk(piece, substitutes)
+
+
+def test_emit_midi_time_follows_its_input_not_the_held_beats():
+    # 2,000 notes held to beat 2^18 at one tick per beat: the beat walk
+    # visits about 5e8 beats; clipping to runs visits each note's few runs
+    n_beats = 1 << 18
+    rnd = random.Random(5)
+    notes = np.array(
+        [(rnd.randrange(128), rnd.randrange(4096), n_beats, rnd.randrange(16))
+         for _ in range(2000)],
+        dtype=np.int64,
+    )
+    piece = MidiPiece(notes, BeatGrid(1, n_beats))
+    substitutes = slices_from_piece(piece)
+    for b in (100, 5000, n_beats - 1):
+        substitutes[b] = Slice((rnd.randrange(12),))
+    start = time.perf_counter()
+    data = emit_midi(piece, substitutes)
+    assert time.perf_counter() - start < 5.0
+    assert slices_from_piece(parse_midi(data))[5000] == substitutes[5000]
