@@ -4,22 +4,22 @@ trainer.train and the batch API (sgd_step, neg_sample) share these
 helpers, so both paths make the same bytes; the pairs come from
 trainer.BatchCursor. A step works on a whole batch at once: every negative
 draw of the batch at once, repaired after each rejection. The draws are
-those of the one-value-at-a-time rng.Rng, which stays the reference, read
-in blocks through rng.BlockRng; the helpers accept either.
+read in blocks from an rng.Rng, and are those its one-value-at-a-time
+methods would give.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rng import BlockRng, Rng, to_floats
+from .rng import Rng, to_floats
 
 BACKEND = "numpy"  # the one training engine; run records report it
 
 _SCATTER_ELEMENTS = 1 << 14  # matrix elements per 1-D scatter call
 
 
-def _draw_negatives_py(cdf, rng: Rng | BlockRng, excludes, n_neg):
+def _draw_negatives_py(cdf, rng: Rng, excludes, n_neg):
     """Noise draws for len(excludes) rows of n_neg; row p resamples while excludes[p].
 
     Each draw inverts the cumulative distribution: smallest i with u < cdf[i].
@@ -27,15 +27,14 @@ def _draw_negatives_py(cdf, rng: Rng | BlockRng, excludes, n_neg):
     where rounding lifts cdf[-2] above 1.0, and a right-sided binary search
     finds it. Slots take draws in row order, and a rejected draw moves every
     later slot one draw on; so the slots are checked against the draws once,
-    and again from each rejection onward. rng is an Rng or a BlockRng, and
-    consumes exactly the draws used, as one slot at a time would.
+    and again from each rejection onward. rng consumes exactly the draws
+    used, as one slot at a time would.
     """
-    stream = BlockRng.over(rng)
     excl = np.repeat(np.asarray(excludes, dtype=np.int64), n_neg)
     slots = len(excl)
     out = np.empty(slots, dtype=np.int64)
     ahead = slots >> 4  # draws looked at past one per slot, for rejections
-    idx = np.searchsorted(cdf, to_floats(stream.peek(slots + ahead)), side="right")
+    idx = np.searchsorted(cdf, to_floats(rng.peek(slots + ahead)), side="right")
     at = shift = 0  # slots before at are filled; slot s >= at takes draw s + shift
     while True:
         hit = idx[at + shift : slots + shift] == excl[at:]
@@ -49,19 +48,14 @@ def _draw_negatives_py(cdf, rng: Rng | BlockRng, excludes, n_neg):
             if len(idx) < slots + shift:
                 ahead = 2 * ahead + 1
                 idx = np.searchsorted(
-                    cdf, to_floats(stream.peek(slots + shift + ahead)), side="right"
+                    cdf, to_floats(rng.peek(slots + shift + ahead)), side="right"
                 )
             if idx[at + shift] != excl[at]:
                 break
             shift += 1
     out[at:] = idx[at + shift : slots + shift]
-    stream.skip(slots + shift)
+    rng.skip(slots + shift)
     return out.reshape(-1, n_neg)
-
-
-def _draw_negative_py(cdf, rng: Rng | BlockRng, exclude: int) -> int:
-    """One noise draw, resampling while equal to exclude."""
-    return int(_draw_negatives_py(cdf, rng, (exclude,), 1)[0, 0])
 
 
 def _sigmoid_np(x):
@@ -88,7 +82,7 @@ def _add_rows_at(mat, rows, vals) -> None:
         np.add.at(flat, idx.reshape(-1), vals[a : a + step].reshape(-1))
 
 
-def _sgd_batch_numpy(inp, out, cdf, rng: Rng | BlockRng, centers, ctxs, negs, lr):
+def _sgd_batch_numpy(inp, out, cdf, rng: Rng, centers, ctxs, negs, lr):
     """Generator of SGD batch steps; each next() yields one step's pair losses.
 
     A step works on the pairs that centers and ctxs hold when next() is

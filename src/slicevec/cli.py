@@ -124,6 +124,17 @@ def _check_writable(paths: list[str]) -> None:
         raise
 
 
+def _check_distinct(cfg: PipelineConfig, outputs: list[str]) -> None:
+    """Refuse an output that names another output or one of the four cache paths."""
+    taken = {os.path.realpath(p) for p in
+             (cfg.corpus_cache, cfg.vocab_cache, cfg.embedding_path, cfg.loss_csv)}
+    for path in outputs:
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ConfigError(f"output {path} names a cache file or another output")
+        taken.add(real)
+
+
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
     parsed = _parse_midi_files(_midi_paths(cfg.corpus_dir))
     if not parsed:
@@ -196,8 +207,9 @@ def _load_space(cfg: PipelineConfig) -> EmbeddingSpace:
 
 
 def cmd_analyze(args, cfg: PipelineConfig) -> int:
-    space = _load_space(cfg)
     out = args.out or f"{args.which}.csv"
+    _check_distinct(cfg, [out])
+    space = _load_space(cfg)
     if args.which == "chords":
         return _analyze_chords(args, space, out)
     if args.which == "keys":
@@ -277,6 +289,8 @@ def _analyze_analogy(args, space: EmbeddingSpace, out: str) -> int:
 
 
 def cmd_generate(args, cfg: PipelineConfig) -> int:
+    outputs = [args.midi_out] + ([args.diagnostics] if args.diagnostics else [])
+    _check_distinct(cfg, outputs)
     space = _load_space(cfg)
     try:
         with open(args.midi_in, "rb") as fh:
@@ -286,7 +300,7 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
     slices = slices_from_piece(piece)
     substitutes, diagnostics = generator.rewrite_piece(slices, space, cfg)
     data = generator.emit_midi(piece, substitutes)
-    _check_writable([args.midi_out] + ([args.diagnostics] if args.diagnostics else []))
+    _check_writable(outputs)
     with open(args.midi_out, "wb") as fh:
         fh.write(data)
     if args.diagnostics:

@@ -285,10 +285,11 @@ def write_smf(
     Messages are emitted in (tick, off-before-on, channel, pitch) order so the
     byte stream is deterministic. All note-ons carry the same velocity; the
     pipeline does not model dynamics. ValueError is raised for a row with
-    pitch outside 0..127, channel outside 0..15 or offset <= onset, for a
-    gap of more than MAX_VARLEN ticks between consecutive messages, because
-    parse_midi reads delta times of at most 4 bytes, and for a ticks_per_beat
-    outside 1..0x7FFF (0x8000 marks SMPTE time) or a tempo outside 1..0xFFFFFF.
+    pitch outside 0..127, channel outside 0..15 or offset <= onset, and for
+    a ticks_per_beat outside 1..0x7FFF (0x8000 marks SMPTE time) or a tempo
+    outside 1..0xFFFFFF. parse_midi reads delta times of at most 4 bytes, so
+    a gap of more than MAX_VARLEN ticks is split by an empty text event after
+    every MAX_VARLEN ticks.
     """
     if not 1 <= ticks_per_beat <= 0x7FFF:
         raise ValueError(f"ticks_per_beat {ticks_per_beat} outside 1..0x7FFF")
@@ -310,6 +311,9 @@ def write_smf(
 
     body = bytearray(b"\x00\xff\x51\x03" + struct.pack(">I", tempo_us_per_beat)[1:])
     for i, delta in enumerate(np.diff(tick[order], prepend=0).tolist()):
+        while delta > MAX_VARLEN:
+            body += _write_varlen(MAX_VARLEN) + b"\xff\x01\x00"
+            delta -= MAX_VARLEN
         body += _write_varlen(delta)
         body += raw[3 * i : 3 * i + 3]
     body += b"\x00\xff\x2f\x00"

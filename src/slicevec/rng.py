@@ -1,14 +1,16 @@
 """Deterministic 64-bit PRNG used by training.
 
-xorshift64* seeded through one round of splitmix64. ``Rng`` is the reference:
-plain Python ints masked to 64 bits, one value per call. The trainer draws
-the same stream a block at a time through ``BlockRng``, bit for bit, so a
-batch's contents and negative samples are those of the one-value walk.
+xorshift64* seeded through one round of splitmix64. ``Rng`` draws its stream
+one value per call (``next_u64``, ``next_float``, ``below``: plain Python
+ints masked to 64 bits, the reference) or a block at a time (``peek``,
+``skip``, ``u64``, ``floats``, ``below_each``: numpy, bit for bit the same
+values), so a batch's contents and negative samples are those of the
+one-value walk.
 
 xorshift64* updates its state by a linear map over GF(2) (Marsaglia 2003,
 "Xorshift RNGs"; Vigna 2016, arXiv:1402.6246), so the state k steps ahead is
-a 64x64 bit matrix applied to the state. ``BlockRng`` uses that to start up
-to 256 lanes a fixed spacing apart and then steps all of them at once on
+a 64x64 bit matrix applied to the state. The block methods use that to start
+up to 256 lanes a fixed spacing apart and then step all of them at once on
 uint64.
 """
 
@@ -22,6 +24,14 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 STAR_MULT = 0x2545F4914F6CDD1D
 _INV53 = 2.0 ** -53
+
+MAX_LANES = 256
+MAX_SPACING = 64  # steps between lanes; a block holds at most 16k values
+_SMALL = 64  # fills below this many values are stepped in Python
+_U12, _U25, _U27, _U11 = (np.uint64(k) for k in (12, 25, 27, 11))
+_STAR = np.uint64(STAR_MULT)
+_BITS = np.arange(64, dtype=np.uint64)
+_EMPTY = np.empty(0, dtype=np.uint64)
 
 
 def splitmix64(x: int) -> int:
@@ -38,28 +48,41 @@ def seed_to_state(seed: int) -> int:
     return state if state != 0 else GOLDEN
 
 
-class Rng:
-    """xorshift64* stream. Cheap, reproducible, not cryptographic."""
+def _step(x: int) -> int:
+    """The xorshift64* state after x."""
+    x ^= x >> 12
+    x = (x ^ (x << 25)) & MASK64
+    return x ^ (x >> 27)
 
-    __slots__ = ("state",)
+
+class Rng:
+    """xorshift64* stream. Cheap, reproducible, not cryptographic.
+
+    state is always the state after the last value consumed (read it; start
+    a stream elsewhere with from_state). The block methods buffer values
+    ahead of it, to look at (peek) before consuming (skip); a scalar draw
+    drops the buffer, and the next block resumes from state. Each refill
+    doubles the last, up to MAX_LANES * MAX_SPACING values, so short uses
+    stay cheap and long ones amortize the lane start-up.
+    """
+
+    __slots__ = ("state", "_raw", "_pos", "_fill")
 
     def __init__(self, seed: int):
         self.state = seed_to_state(seed)
+        self._raw = _EMPTY  # buffered states; outputs are these times STAR_MULT
+        self._pos = 0  # states consumed from _raw
+        self._fill = 0  # values made by the last refill
 
     @classmethod
     def from_state(cls, state: int) -> "Rng":
-        rng = cls.__new__(cls)
-        rng.state = state & MASK64
-        if rng.state == 0:
-            rng.state = GOLDEN
+        rng = cls(0)
+        rng.state = state & MASK64 or GOLDEN
         return rng
 
     def next_u64(self) -> int:
-        x = self.state
-        x ^= x >> 12
-        x = (x ^ (x << 25)) & MASK64
-        x ^= x >> 27
-        self.state = x
+        self._raw, self._pos = _EMPTY, 0
+        self.state = x = _step(self.state)
         return (x * STAR_MULT) & MASK64
 
     def next_float(self) -> float:
@@ -74,20 +97,49 @@ class Rng:
             raise ValueError(f"below() needs n >= 1, got {n}")
         return self.next_u64() % n
 
+    def _ensure(self, n: int) -> None:
+        have = len(self._raw) - self._pos
+        if have >= n:
+            return
+        tail = self._raw[self._pos :]
+        last = int(tail[-1]) if have else self.state
+        self._fill = max(n - have, min(MAX_LANES * MAX_SPACING, 2 * self._fill))
+        fresh = _states_after(last, self._fill)
+        self._raw = np.concatenate([tail, fresh]) if have else fresh
+        self._pos = 0
 
-MAX_LANES = 256
-MAX_SPACING = 64  # steps between lanes; a block holds at most 16k values
-_SMALL = 64  # fills below this many values are stepped in Python
-_U12, _U25, _U27, _U11 = (np.uint64(k) for k in (12, 25, 27, 11))
-_STAR = np.uint64(STAR_MULT)
-_BITS = np.arange(64, dtype=np.uint64)
-_EMPTY = np.empty(0, dtype=np.uint64)
+    def peek(self, n: int) -> np.ndarray:
+        """The next n u64 outputs, not consumed."""
+        self._ensure(n)
+        return self._raw[self._pos : self._pos + n] * _STAR
 
+    def skip(self, n: int) -> None:
+        """Consume the next n values."""
+        if n <= 0:
+            return
+        self._ensure(n)
+        self._pos += n
+        self.state = int(self._raw[self._pos - 1])
 
-def _step(x: int) -> int:
-    x ^= x >> 12
-    x = (x ^ (x << 25)) & MASK64
-    return x ^ (x >> 27)
+    def u64(self, n: int) -> np.ndarray:
+        """The next n next_u64 outputs, consumed."""
+        out = self.peek(n)
+        self.skip(n)
+        return out
+
+    def floats(self, n: int) -> np.ndarray:
+        """The next n next_float outputs, consumed."""
+        return to_floats(self.u64(n))
+
+    def below_each(self, bounds: np.ndarray) -> np.ndarray:
+        """below(n) for each n in bounds, in order; n == 1 consumes nothing."""
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        if (bounds < 1).any():
+            raise ValueError("below() needs n >= 1")
+        drawn = bounds > 1
+        out = np.zeros(len(bounds), dtype=np.uint64)
+        out[drawn] = self.u64(int(np.count_nonzero(drawn))) % bounds[drawn]
+        return out
 
 
 def _jump(cols: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -152,84 +204,6 @@ def _states_after(start: int, n: int) -> np.ndarray:
         start = int(parts[-1][-1])
         n -= len(parts[-1])
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-class BlockRng:
-    """The stream of an Rng, made by numpy a block at a time.
-
-    Values come out in exactly the order Rng.next_u64 would give them, and
-    consuming values advances the bound Rng's state to the state after the
-    last one consumed. Values can be looked at (peek) before they are
-    consumed (skip). If the Rng is stepped directly in between, the
-    buffered values are dropped and the stream resumes from its state.
-
-    Fresh streams fill small blocks; each refill doubles the last one, up
-    to MAX_LANES * MAX_SPACING values, so short uses stay cheap and long ones
-    amortize the lane start-up.
-    """
-
-    __slots__ = ("rng", "_raw", "_pos", "_state", "_fill")
-
-    def __init__(self, rng: Rng):
-        self.rng = rng
-        self._raw = _EMPTY  # buffered states; outputs are these times STAR_MULT
-        self._pos = 0  # states consumed from _raw
-        self._state = rng.state  # rng.state as this stream last left it
-        self._fill = 0
-
-    @classmethod
-    def over(cls, rng: "Rng | BlockRng") -> "BlockRng":
-        """rng itself when it already is a BlockRng, else a new one bound to it."""
-        return rng if isinstance(rng, BlockRng) else cls(rng)
-
-    @property
-    def state(self) -> int:
-        return self.rng.state
-
-    def _ensure(self, n: int) -> None:
-        if self.rng.state != self._state:
-            self._raw, self._pos, self._state = _EMPTY, 0, self.rng.state
-        have = len(self._raw) - self._pos
-        if have >= n:
-            return
-        tail = self._raw[self._pos :]
-        last = int(tail[-1]) if have else self._state
-        self._fill = max(n - have, min(MAX_LANES * MAX_SPACING, 2 * self._fill))
-        fresh = _states_after(last, self._fill)
-        self._raw = np.concatenate([tail, fresh]) if have else fresh
-        self._pos = 0
-
-    def peek(self, n: int) -> np.ndarray:
-        """The next n u64 outputs, not consumed."""
-        self._ensure(n)
-        return self._raw[self._pos : self._pos + n] * _STAR
-
-    def skip(self, n: int) -> None:
-        """Consume the next n values."""
-        if n <= 0:
-            return
-        self._ensure(n)
-        self._pos += n
-        self._state = self.rng.state = int(self._raw[self._pos - 1])
-
-    def u64(self, n: int) -> np.ndarray:
-        out = self.peek(n)
-        self.skip(n)
-        return out
-
-    def floats(self, n: int) -> np.ndarray:
-        """n uniform float64 in [0, 1), as Rng.next_float makes them."""
-        return to_floats(self.u64(n))
-
-    def below(self, bounds: np.ndarray) -> np.ndarray:
-        """Rng.below(n) for each n in bounds, in order; n == 1 consumes nothing."""
-        bounds = np.asarray(bounds, dtype=np.uint64)
-        if (bounds < 1).any():
-            raise ValueError("below() needs n >= 1")
-        drawn = bounds > 1
-        out = np.zeros(len(bounds), dtype=np.uint64)
-        out[drawn] = self.u64(int(np.count_nonzero(drawn))) % bounds[drawn]
-        return out
 
 
 def to_floats(u64: np.ndarray) -> np.ndarray:

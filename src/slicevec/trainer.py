@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _kernels
-from .rng import BlockRng, Rng
+from .rng import Rng
 from .slicer import EncodedCorpus, Vocabulary
 
 NOISE_POWER = 0.75
@@ -87,10 +87,9 @@ class EmbeddingMatrix:
         """Inputs uniform in [-0.5/dims, +0.5/dims), drawn row-major; outputs zero."""
         inp = np.empty((vocab_size, dims), dtype=np.float64)
         flat = inp.reshape(-1)
-        stream = BlockRng(rng)
         for a in range(0, len(flat), _INIT_CHUNK):
             chunk = flat[a : a + _INIT_CHUNK]
-            np.subtract(stream.floats(len(chunk)), 0.5, out=chunk)
+            np.subtract(rng.floats(len(chunk)), 0.5, out=chunk)
             chunk /= dims
         out = np.zeros((vocab_size, dims), dtype=np.float64)
         return cls(inp, out)
@@ -158,7 +157,7 @@ def neg_sample(noise: NoiseDistribution, rng: Rng, exclude: int) -> int:
     """Draw one noise token, resampling while it equals exclude."""
     if len(noise.cdf) < 2:
         raise ValueError("noise distribution needs at least 2 tokens")
-    return _kernels._draw_negative_py(noise.cdf, rng, exclude)
+    return int(_kernels._draw_negatives_py(noise.cdf, rng, (exclude,), 1)[0, 0])
 
 
 class BatchCursor:
@@ -167,9 +166,9 @@ class BatchCursor:
     Holds the trainable pieces concatenated, with each piece's offset and
     length, the position of the next center, the context picks of a center
     that did not fit in the last batch, and its own Rng (a copy of the
-    caller's state) read in blocks through stream. The window and the picks
-    per center come from the config given to start. Pieces are walked
-    cyclically, so batches can be drawn forever.
+    caller's state), from which fill and train draw in blocks. The window and
+    the picks per center come from the config given to start. Pieces are
+    walked cyclically, so batches can be drawn forever.
     """
 
     def __init__(self, corpus: EncodedCorpus, config: TrainingConfig, rng: Rng):
@@ -183,7 +182,6 @@ class BatchCursor:
         self.num_skips = config.num_skips_k
         self.total_tokens = corpus.total_tokens
         self.rng = Rng.from_state(rng.state)
-        self.stream = BlockRng(self.rng)
         self._next = 0  # position in tokens of the next center
         self._pending = self.tokens[:0]  # picks of the last center not yet handed out
         self._pending_center = 0
@@ -223,7 +221,7 @@ class BatchCursor:
         step = np.arange(k)
         picked = step < kk[:, None]
         bounds = np.where(picked, m[:, None] - step, 1)
-        drawn = self.stream.below(bounds.reshape(-1)).astype(np.int64)
+        drawn = self.rng.below_each(bounds.reshape(-1)).astype(np.int64)
         swap = step + drawn.reshape(bounds.shape)
         avail = lo[:, None] + np.arange(2 * h)
         avail += avail >= p[:, None]  # the center is not in its own window
@@ -306,8 +304,9 @@ def train(
     """Run config.steps batches of SGD; returns matrices and loss trace.
 
     Average loss is recorded every config.loss_every batches (partial
-    trailing windows are not recorded). The run is deterministic given the
-    seed.
+    trailing windows are not recorded). The matrices are checked at each
+    checkpoint and after the last batch; a non-finite loss or value raises
+    NumericalAbortError. The run is deterministic given the seed.
     """
     _validate_corpus(corpus, vocab)
     if vocab.size < 2:
@@ -322,7 +321,7 @@ def train(
     ctxs = np.empty(config.batch_size, np.int32)
     negs = np.empty((config.batch_size, config.negative_samples), np.int32)
     batches = _kernels._sgd_batch_numpy(
-        emb.input_vectors, emb.output_vectors, noise.cdf, cursor.stream,
+        emb.input_vectors, emb.output_vectors, noise.cdf, cursor.rng,
         centers, ctxs, negs, config.learning_rate,
     )
     checkpoints: list[tuple[int, float]] = []
@@ -339,4 +338,6 @@ def train(
             loss_sum = 0.0
             if not emb.all_finite():
                 raise NumericalAbortError(step, -1)
+    if config.steps % config.loss_every and not emb.all_finite():
+        raise NumericalAbortError(config.steps - 1, -1)
     return emb, LossTrace(checkpoints)

@@ -271,11 +271,15 @@ _CORPUS = "SLICECORPUS v1 2\n0.4.7 2.7.11 0.4.7\n2.7.11 0.4.7\n"
         (_CORPUS[:-5], _VOCAB, [], 2, "data error:"),  # "0.4.7" cut to "0"
         (_CORPUS, _VOCAB, ["--learning-rate", "1e200"], 3,
          "numerical abort: non-finite value during batch 2, pair 0\n"),
+        (_CORPUS, _VOCAB, ["--dims", "1", "--steps", "2", "--loss-every", "100",
+                           "--batch-size", "1", "--learning-rate", "1e200", "--window-c", "2",
+                           "--num-skips-k", "1"], 3,
+         "numerical abort: non-finite value during batch 1\n"),
     ],
     ids=[
         "threads-not-one", "vocab-without-unk", "no-trainable-piece",
         "corpus-trailing-line", "vocab-trailing-line", "corpus-cut-last-line",
-        "diverging-learning-rate",
+        "diverging-learning-rate", "diverging-after-last-checkpoint",
     ],
 )
 def test_train_rejects_bad_inputs_in_one_line(capsys, corpus, vocab, flags, code, prefix):
@@ -361,6 +365,34 @@ def test_unreadable_config_and_unwritable_outputs_exit_in_one_line(
     assert os.listdir() == []  # no output, partial or whole, is left behind
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "analogy", "--out", "{run}/embedding.txt", *_CACHES],
+        ["analyze", "chords", "--out", "{run}/../{runname}/corpus.txt", *_CACHES],
+        ["analyze", "keys", "--pieces-dir", "{run}/midi", "--out", "loss.csv", *_CACHES],
+        ["generate", "--midi-in", "{run}/midi/C_major_00.mid", "--midi-out", "{run}/vocab.txt",
+         *_CACHES],
+        ["generate", "--midi-in", "{run}/midi/C_major_00.mid", "--midi-out", "x.mid",
+         "--diagnostics", "./x.mid", *_CACHES],
+    ],
+    ids=["analyze-over-embedding", "analyze-over-corpus", "analyze-over-loss-csv",
+         "generate-over-vocab", "generate-diagnostics-over-midi-out"],
+)
+def test_outputs_naming_a_cache_or_each_other_exit_1(capsys, trained_run, argv):
+    def digests():
+        return {name: hashlib.sha256((trained_run / name).read_bytes()).hexdigest()
+                for name in ("corpus.txt", "vocab.txt", "embedding.txt")}
+
+    before = digests()
+    rc = main([arg.format(run=trained_run, runname=trained_run.name) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: output ") and err.count("\n") == 1, err
+    assert os.listdir() == []
+    assert digests() == before
+
+
 def _embedding(rows):
     dims = len(next(iter(rows.values())))
     lines = [f"SLICEVEC v1 {len(rows)} {dims}"]
@@ -374,7 +406,7 @@ _EQUAL_I_V = _embedding(
 )
 _C_MAJOR_CHORD = write_smf([(60, 0, 480, 0), (64, 0, 480, 0), (67, 0, 480, 0)], 480)
 # PPQ 0x7FFF; the note-on lies two MAX_VARLEN deltas (around a text event) in,
-# a silence that no single delta of a rewritten file can encode
+# a silence that the rewritten file splits the same way
 _SILENT_TRACK = (b"\xff\xff\xff\x7f\xff\x01\x00" + b"\xff\xff\xff\x7f\x90\x3c\x40"
                  + b"\x01\x80\x3c\x00" + b"\x00\xff\x2f\x00")
 _LONG_SILENCE = (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 0x7FFF)
@@ -392,8 +424,7 @@ _LONG_SILENCE = (b"MThd" + struct.pack(">IHHH", 6, 0, 1, 0x7FFF)
          ["generate", "--midi-in", "in.mid", "--midi-out", "out.mid"], 2,
          "data error: cosine is undefined for a zero vector"),
         ({"embedding.txt": _ZERO_TONIC, "in.mid": _LONG_SILENCE},
-         ["generate", "--midi-in", "in.mid", "--midi-out", "out.mid"], 2,
-         "data error: variable-length quantity"),
+         ["generate", "--midi-in", "in.mid", "--midi-out", "out.mid"], 0, None),
         ({}, ["ingest", "--dims", "0"], 1, "config error: dims must be >= 1"),
         ({"top.cfg": "top_n = 0\n"}, ["stats", "--config", "top.cfg"], 1,
          "config error: top_n must be >= 1"),
@@ -412,8 +443,12 @@ def test_measured_inputs_and_settings_fail_in_one_line(capsys, files, argv, code
         rc = main(argv)
     err = capsys.readouterr().err
     assert rc == code
-    assert err.splitlines()[-1].startswith(prefix)
     assert "Traceback" not in err
+    if code == 0:  # a rewrite that substitutes nothing keeps every note
+        with open("out.mid", "rb") as out, open("in.mid", "rb") as inp:
+            assert parse_midi(out.read()).notes.tolist() == parse_midi(inp.read()).notes.tolist()
+        return
+    assert err.splitlines()[-1].startswith(prefix)
     assert not os.path.exists("out.mid")
 
 

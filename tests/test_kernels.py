@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from slicevec import _kernels
-from slicevec.rng import BlockRng, Rng
+from slicevec.rng import Rng
 from slicevec.slicer import EncodedCorpus, Vocabulary, Slice
 from slicevec.trainer import (
     BatchCursor,
@@ -157,7 +157,7 @@ def test_negative_draw_matches_linear_scan():
         rng, oracle_rng = Rng(seed), Rng(seed)
         for i in range(400):
             exclude = i % 2
-            a = _kernels._draw_negative_py(cdf, rng, exclude)
+            a = int(_kernels._draw_negatives_py(cdf, rng, (exclude,), 1)[0, 0])
             assert a == _draw_by_linear_scan(cdf, oracle_rng, exclude)
         assert rng.state == oracle_rng.state
 
@@ -181,15 +181,14 @@ def test_batched_negatives_match_one_draw_at_a_time():
     for cdf in cdfs:
         seed = rnd.randrange(1 << 40)
         rng, one, oracle = Rng(seed), Rng(seed), Rng(seed)
-        stream = BlockRng(rng)
         for _ in range(8):
             rows, n_neg = rnd.choice((1, 3, 128)), rnd.choice((1, 2, 5))
             excludes = np.array([rnd.randrange(len(cdf)) for _ in range(rows)], np.int32)
-            got = _kernels._draw_negatives_py(cdf, rnd.choice((stream, rng)), excludes, n_neg)
+            got = _kernels._draw_negatives_py(cdf, rng, excludes, n_neg)
             assert got.shape == (rows, n_neg)
             for p, exclude in enumerate(excludes.tolist()):
                 for j in range(n_neg):
-                    assert got[p, j] == _kernels._draw_negative_py(cdf, one, exclude)
+                    assert got[p, j] == _kernels._draw_negatives_py(cdf, one, (exclude,), 1)[0, 0]
                     assert got[p, j] == _draw_by_linear_scan(cdf, oracle, exclude)
             assert rng.state == one.state == oracle.state
 

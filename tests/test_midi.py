@@ -319,14 +319,20 @@ def test_writer_emits_offs_before_ons_at_shared_ticks():
 
 
 def test_writer_accepts_largest_delta_and_refuses_larger():
+    # the delta encoder refuses more than MAX_VARLEN; the writer splits longer
+    # gaps with empty text events, so every gap round-trips
     largest = (1 << 28) - 1
-    events = [NoteEvent(60, 0, largest, 0)]
-    parsed = parse_midi(write_smf(note_array(events), 0x7FFF))
-    assert parsed.events == events
     with pytest.raises(ValueError, match="variable-length"):
-        write_smf([(60, 0, largest + 1, 0)], 0x7FFF)
-    with pytest.raises(ValueError, match="variable-length"):
-        write_smf([(60, largest + 1, largest + 2, 0)], 0x7FFF)
+        _write_varlen(largest + 1)
+    for events in (
+        [NoteEvent(60, 0, largest, 0)],
+        [NoteEvent(60, 0, largest + 1, 0)],
+        [NoteEvent(60, largest + 1, largest + 2, 0)],
+        [NoteEvent(62, 0, 3, 1), NoteEvent(60, 2 * largest + 5, 3 * largest, 0)],
+    ):
+        data = write_smf(note_array(events), 0x7FFF)
+        assert parse_midi(data).events == events
+    assert data.count(b"\xff\x01\x00") == 2  # a gap of 2 * largest + 2 ticks
 
 
 def test_writer_header_fields():

@@ -1,4 +1,4 @@
-"""PRNG reference vectors, distribution sanity, and BlockRng parity with the reference Rng."""
+"""PRNG reference vectors, distribution sanity, and block draws matching scalar draws."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from slicevec.rng import (
     MASK64,
     MAX_LANES,
     MAX_SPACING,
-    BlockRng,
     Rng,
     seed_to_state,
     splitmix64,
@@ -135,13 +134,13 @@ BLOCK = MAX_LANES * MAX_SPACING
 
 
 def _take(block, ref, kind, n, rnd):
-    """n values of one kind from the block stream and from the reference Rng."""
+    """n values of one kind from block's block methods and from ref's scalar ones."""
     if kind == "u64":
         return block.u64(n).tolist(), [ref.next_u64() for _ in range(n)]
     if kind == "float":
         return block.floats(n).tolist(), [ref.next_float() for _ in range(n)]
     bounds = [rnd.choice((1, 1, 2, 3, 7, 12, 100, 2**40, 2**64 - 1)) for _ in range(n)]
-    return block.below(np.array(bounds, dtype=np.uint64)).tolist(), [ref.below(b) for b in bounds]
+    return block.below_each(np.array(bounds, dtype=np.uint64)).tolist(), [ref.below(b) for b in bounds]
 
 
 def test_block_stream_matches_rng_at_random_states_and_offsets():
@@ -149,17 +148,17 @@ def test_block_stream_matches_rng_at_random_states_and_offsets():
     states = [0, 1, GOLDEN, MASK64] + [rnd.getrandbits(64) for _ in range(8)]
     for state in states:
         ref = Rng.from_state(state)
-        block = BlockRng(Rng.from_state(state))
+        block = Rng.from_state(state)
         for _ in range(12):
             kind = rnd.choice(("u64", "float", "below"))
             n = rnd.choice((0, 1, 2, 63, 64, 65, 500, 1023, 1025, 5000))
             got, expected = _take(block, ref, kind, n, rnd)
             assert got == expected, (state, kind, n)
-            assert block.state == block.rng.state == ref.state
+            assert block.state == ref.state
 
 
 def test_block_stream_from_zero_state_starts_at_golden():
-    block = BlockRng(Rng.from_state(0))
+    block = Rng.from_state(0)
     assert block.state == GOLDEN
     ref = Rng.from_state(GOLDEN)
     assert block.u64(100).tolist() == [ref.next_u64() for _ in range(100)]
@@ -170,7 +169,7 @@ def test_block_stream_matches_rng_across_lane_and_block_refills():
     # sizes that end exactly on, and one past, a lane, a full block and the
     # point where consumption crosses into the next block
     ref = Rng(8)
-    block = BlockRng(Rng(8))
+    block = Rng(8)
     for n in (MAX_SPACING, 1, BLOCK - 1, 2, BLOCK, 3 * MAX_SPACING + 1, BLOCK + 7, 1):
         assert block.u64(n).tolist() == [ref.next_u64() for _ in range(n)], n
         assert block.state == ref.state
@@ -178,7 +177,7 @@ def test_block_stream_matches_rng_across_lane_and_block_refills():
 
 def test_block_stream_peek_consumes_nothing():
     ref = Rng(12)
-    block = BlockRng(Rng(12))
+    block = Rng(12)
     ahead = block.peek(3000).tolist()
     assert block.state == Rng(12).state
     assert block.u64(10).tolist() == ahead[:10]
@@ -191,17 +190,45 @@ def test_block_stream_peek_consumes_nothing():
 
 def test_block_stream_follows_direct_steps_of_its_rng():
     rng = Rng(13)
-    block = BlockRng(rng)
-    first = block.u64(5).tolist()
-    block.peek(2000)  # buffered ahead of the Rng
+    first = rng.u64(5).tolist()
+    rng.peek(2000)  # buffered ahead of the state
     direct = rng.next_u64()
     ref = Rng(13)
     assert first == [ref.next_u64() for _ in range(5)]
     assert direct == ref.next_u64()
-    assert block.u64(100).tolist() == [ref.next_u64() for _ in range(100)]
+    assert rng.u64(100).tolist() == [ref.next_u64() for _ in range(100)]
     assert rng.state == ref.state
+
+
+def test_block_and_scalar_draws_mixed_on_one_rng_match_scalar_draws():
+    rnd = random.Random(47)
+    for seed in range(6):
+        mixed, ref = Rng(seed), Rng(seed)
+        for _ in range(60):
+            kind = rnd.choice(("u64", "float", "below", "peek", "skip", "next_u64",
+                               "next_float", "scalar_below"))
+            n = rnd.choice((0, 1, 2, 5, 63, 64, 65, 700, BLOCK + 3))
+            if kind in ("u64", "float", "below"):
+                got, expected = _take(mixed, ref, kind, n, rnd)
+            elif kind == "peek":
+                probe = Rng.from_state(ref.state)
+                got, expected = mixed.peek(n).tolist(), [probe.next_u64() for _ in range(n)]
+            elif kind == "skip":
+                mixed.skip(n)
+                for _ in range(n):
+                    ref.next_u64()
+                got = expected = n
+            elif kind == "next_u64":
+                got, expected = mixed.next_u64(), ref.next_u64()
+            elif kind == "next_float":
+                got, expected = mixed.next_float(), ref.next_float()
+            else:
+                bound = rnd.choice((1, 2, 3, 100, 2**64 - 1))
+                got, expected = mixed.below(bound), ref.below(bound)
+            assert got == expected, (seed, kind, n)
+            assert mixed.state == ref.state, (seed, kind, n)
 
 
 def test_block_stream_below_rejects_nonpositive():
     with pytest.raises(ValueError):
-        BlockRng(Rng(4)).below(np.array([3, 0], dtype=np.uint64))
+        Rng(4).below_each(np.array([3, 0], dtype=np.uint64))

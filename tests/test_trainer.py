@@ -384,6 +384,18 @@ def test_train_aborts_on_numerical_blowup():
         assert (excinfo.value.step, excinfo.value.pair) == where
 
 
+def test_train_aborts_on_blowup_after_the_last_checkpoint():
+    corpus, vocab = _small_corpus()
+    config = TrainingConfig(
+        dims=4, window_c=2, num_skips_k=1, negative_samples=2,
+        learning_rate=1e200, batch_size=4, steps=2, seed=3, loss_every=100,
+    )
+    # the matrices turn non-finite in batch 1 (as above), and no checkpoint follows
+    with pytest.raises(NumericalAbortError) as excinfo:
+        train(corpus, vocab, config)
+    assert (excinfo.value.step, excinfo.value.pair) == (1, -1)
+
+
 def test_batch_cursor_survives_center_splits():
     # batch size 3 with num_skips 2 forces a center's pairs across batches
     corpus, _ = _small_corpus()
