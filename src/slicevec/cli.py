@@ -7,6 +7,7 @@ malformed inputs), 3 numerical abort during training.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import glob
 import os
 import sys
@@ -111,28 +112,19 @@ def _parse_midi_files(paths: list[str]) -> list[tuple[str, object]]:
     return parsed
 
 
-def _check_writable(paths: list[str]) -> None:
-    """Open (not truncate) every output before any is written; on OSError remove new ones."""
+@contextlib.contextmanager
+def _writing(paths: list[str]):
+    """Open (not truncate) every output before the block runs; if it fails, remove the new ones."""
     new = [path for path in paths if not os.path.exists(path)]
     try:
         for path in paths:
             open(path, "ab").close()
-    except OSError:
+        yield
+    except BaseException:
         for path in new:
             if os.path.exists(path):
                 os.remove(path)
         raise
-
-
-def _check_distinct(cfg: PipelineConfig, outputs: list[str]) -> None:
-    """Refuse an output that names another output or one of the four cache paths."""
-    taken = {os.path.realpath(p) for p in
-             (cfg.corpus_cache, cfg.vocab_cache, cfg.embedding_path, cfg.loss_csv)}
-    for path in outputs:
-        real = os.path.realpath(path)
-        if real in taken:
-            raise ConfigError(f"output {path} names a cache file or another output")
-        taken.add(real)
 
 
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
@@ -147,9 +139,9 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     if not all_slices:
         raise DataError("corpus contains no beats; cannot build a vocabulary")
     vocab = build_vocabulary(iter(all_slices), cfg.vocab_size)
-    _check_writable([cfg.corpus_cache, cfg.vocab_cache])
-    save_corpus(cfg.corpus_cache, pieces)
-    save_vocabulary(cfg.vocab_cache, vocab)
+    with _writing([cfg.corpus_cache, cfg.vocab_cache]):
+        save_corpus(cfg.corpus_cache, pieces)
+        save_vocabulary(cfg.vocab_cache, vocab)
     unique = len({s.form for s in all_slices})
     print(f"pieces: {len(pieces)}")
     print(f"unique slices: {unique}")
@@ -188,11 +180,10 @@ def _load_caches(cfg: PipelineConfig):
 def cmd_train(args, cfg: PipelineConfig) -> int:
     pieces, vocab = _load_caches(cfg)
     corpus = encode_corpus(pieces, vocab)
-    emb, trace = train(corpus, vocab, cfg)
-    space = EmbeddingSpace.from_training(vocab, emb)
-    _check_writable([cfg.embedding_path, cfg.loss_csv])
-    save_embedding(cfg.embedding_path, space)
-    trace.save_csv(cfg.loss_csv)
+    with _writing([cfg.embedding_path, cfg.loss_csv]):
+        emb, trace = train(corpus, vocab, cfg)
+        save_embedding(cfg.embedding_path, EmbeddingSpace.from_training(vocab, emb))
+        trace.save_csv(cfg.loss_csv)
     if trace.checkpoints:
         step, loss = trace.checkpoints[-1]
         print(f"final checkpoint: step {step}, average loss {loss:.6f}")
@@ -208,7 +199,7 @@ def _load_space(cfg: PipelineConfig) -> EmbeddingSpace:
 
 def cmd_analyze(args, cfg: PipelineConfig) -> int:
     out = args.out or f"{args.which}.csv"
-    _check_distinct(cfg, [out])
+    cfg.check_distinct([out])
     space = _load_space(cfg)
     if args.which == "chords":
         return _analyze_chords(args, space, out)
@@ -290,7 +281,7 @@ def _analyze_analogy(args, space: EmbeddingSpace, out: str) -> int:
 
 def cmd_generate(args, cfg: PipelineConfig) -> int:
     outputs = [args.midi_out] + ([args.diagnostics] if args.diagnostics else [])
-    _check_distinct(cfg, outputs)
+    cfg.check_distinct(outputs)
     space = _load_space(cfg)
     try:
         with open(args.midi_in, "rb") as fh:
@@ -300,12 +291,12 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
     slices = slices_from_piece(piece)
     substitutes, diagnostics = generator.rewrite_piece(slices, space, cfg)
     data = generator.emit_midi(piece, substitutes)
-    _check_writable(outputs)
-    with open(args.midi_out, "wb") as fh:
-        fh.write(data)
-    if args.diagnostics:
-        generator.save_diagnostics(args.diagnostics, diagnostics)
-        print(f"wrote {args.diagnostics}")
+    with _writing(outputs):
+        with open(args.midi_out, "wb") as fh:
+            fh.write(data)
+        if args.diagnostics:
+            generator.save_diagnostics(args.diagnostics, diagnostics)
+            print(f"wrote {args.diagnostics}")
     changed = sum(1 for d in diagnostics if d.original != d.substitute)
     print(f"substituted {changed} of {len(diagnostics)} beats; wrote {args.midi_out}")
     return EXIT_OK

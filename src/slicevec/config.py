@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 from .generator import GeneratorConfig
 from .trainer import TrainingConfig
@@ -57,9 +58,15 @@ class PipelineConfig(TrainingConfig, GeneratorConfig):
             raise ConfigError("vocab_size must be >= 2")
         if self.threads != 1:
             raise ConfigError("threads must be 1")
-        paths = [self.corpus_cache, self.vocab_cache, self.embedding_path, self.loss_csv]
-        if len(set(paths)) != len(paths):
-            raise ConfigError("cache/output paths must be pairwise distinct")
+        self.check_distinct()
+
+    def check_distinct(self, outputs: Sequence[str] = ()) -> None:
+        """Refuse two of the cache paths and outputs that name one file ("./a" and "a" do)."""
+        paths = [self.corpus_cache, self.vocab_cache, self.embedding_path, self.loss_csv, *outputs]
+        real = [os.path.realpath(path) for path in paths]
+        for i, path in enumerate(paths):
+            if real[i] in real[:i]:
+                raise ConfigError(f"output {path} is not distinct from a cache path or output")
 
     def dump(self) -> str:
         lines = ["effective configuration:"]

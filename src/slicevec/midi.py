@@ -260,17 +260,9 @@ def parse_midi(data: bytes) -> MidiPiece:
 
 
 MAX_VARLEN = (1 << 28) - 1  # largest value a 4-byte variable-length quantity holds
-
-
-def _write_varlen(value: int) -> bytes:
-    if not 0 <= value <= MAX_VARLEN:
-        raise ValueError(f"variable-length quantity {value} is outside 0..{MAX_VARLEN}")
-    out = [value & 0x7F]
-    value >>= 7
-    while value:
-        out.append((value & 0x7F) | 0x80)
-        value >>= 7
-    return bytes(reversed(out))
+_VARLEN_SHIFTS = np.array([21, 14, 7, 0])
+# MAX_VARLEN ticks, then an empty text meta event
+_FILLER = np.array([0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0x01, 0x00], dtype=np.uint8)
 
 
 def write_smf(
@@ -285,11 +277,11 @@ def write_smf(
     Messages are emitted in (tick, off-before-on, channel, pitch) order so the
     byte stream is deterministic. All note-ons carry the same velocity; the
     pipeline does not model dynamics. ValueError is raised for a row with
-    pitch outside 0..127, channel outside 0..15 or offset <= onset, and for
-    a ticks_per_beat outside 1..0x7FFF (0x8000 marks SMPTE time) or a tempo
-    outside 1..0xFFFFFF. parse_midi reads delta times of at most 4 bytes, so
-    a gap of more than MAX_VARLEN ticks is split by an empty text event after
-    every MAX_VARLEN ticks.
+    pitch outside 0..127, channel outside 0..15, offset <= onset or onset < 0,
+    and for a ticks_per_beat outside 1..0x7FFF (0x8000 marks SMPTE time) or a
+    tempo outside 1..0xFFFFFF. parse_midi reads delta times of at most 4 bytes,
+    so a gap of more than MAX_VARLEN ticks is split by an empty text event
+    after every MAX_VARLEN ticks.
     """
     if not 1 <= ticks_per_beat <= 0x7FFF:
         raise ValueError(f"ticks_per_beat {ticks_per_beat} outside 1..0x7FFF")
@@ -306,18 +298,21 @@ def write_smf(
     is_on = np.repeat([1, 0], len(notes))
     tick, channel, pitch = np.concatenate((onset, offset)), np.tile(channel, 2), np.tile(pitch, 2)
     order = np.lexsort((pitch, channel, is_on, tick))
-    messages = np.stack((0x80 | is_on << 4 | channel, pitch, is_on * velocity), axis=1)
-    raw = messages[order].astype(np.uint8).tobytes()  # 3 bytes per message
+    delta = np.diff(tick[order], prepend=0)  # ticks are sorted: only the first can be < 0
+    if len(delta) and delta[0] < 0:
+        raise ValueError(f"variable-length quantity {delta[0]} is outside 0..{MAX_VARLEN}")
 
-    body = bytearray(b"\x00\xff\x51\x03" + struct.pack(">I", tempo_us_per_beat)[1:])
-    for i, delta in enumerate(np.diff(tick[order], prepend=0).tolist()):
-        while delta > MAX_VARLEN:
-            body += _write_varlen(MAX_VARLEN) + b"\xff\x01\x00"
-            delta -= MAX_VARLEN
-        body += _write_varlen(delta)
-        body += raw[3 * i : 3 * i + 3]
-    body += b"\x00\xff\x2f\x00"
-
+    # an event is a 4-byte big-endian varlen delta less its leading zero groups, then 3
+    # bytes; a message after a gap of more than MAX_VARLEN ticks follows `fill` fillers
+    fill = np.maximum(delta - 1, 0) // MAX_VARLEN
+    delta -= fill * MAX_VARLEN
+    last = np.cumsum(fill + 1) - 1  # the event index of each message
+    events = np.tile(_FILLER, (len(delta) + fill.sum(), 1))
+    events[last, :4] = (delta[:, None] >> _VARLEN_SHIFTS) & 0x7F | [0x80, 0x80, 0x80, 0]
+    events[last, 4:] = np.stack((0x80 | is_on << 4 | channel, pitch, is_on * velocity), 1)[order]
+    keep = np.ones(events.shape, dtype=bool)
+    keep[last, :3] = delta[:, None] >= 1 << _VARLEN_SHIFTS[:3]
+    track = b"\x00\xff\x51\x03" + struct.pack(">I", tempo_us_per_beat)[1:]
+    track += events[keep].tobytes() + b"\x00\xff\x2f\x00"
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, ticks_per_beat)
-    track = b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
-    return header + track
+    return header + b"MTrk" + struct.pack(">I", len(track)) + track

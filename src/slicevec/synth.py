@@ -15,6 +15,8 @@ stands in for "#" to keep names filesystem-safe).
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -82,6 +84,7 @@ def parse_key_filename(name: str) -> tuple[int, str]:
     return PC_OF_NAME[root_name], parts[1]
 
 
+@lru_cache(maxsize=None)
 def _degree_triad(degree: int, root_pc: int, mode: str) -> tuple[int, ...]:
     """Pitch classes of the triad on a scale degree (stacked scale thirds)."""
     scale = _SCALE[mode]
@@ -91,12 +94,24 @@ def _degree_triad(degree: int, root_pc: int, mode: str) -> tuple[int, ...]:
     )
 
 
+def _choice_cdf(row):
+    """(next degrees, the cdf Generator.choice(next, p=probs) searches, computed as numpy
+    does): one rng.random() searched on its right side picks what choice picks."""
+    nxt, probs = zip(*row)
+    cdf = np.array(probs).cumsum()
+    cdf /= cdf[-1]
+    return nxt, cdf.tolist()
+
+
+_NEXT_CDF = {degree: _choice_cdf(row) for degree, row in _TRANSITIONS.items()}
+
+
 def _progression(n_bars: int, rng: np.random.Generator) -> list[int]:
     """A degree per bar, starting on 1 and cadencing 5 -> 1."""
     degrees = [1]
     for _ in range(n_bars - 1):
-        nxt, probs = zip(*_TRANSITIONS[degrees[-1]])
-        degrees.append(int(rng.choice(nxt, p=probs)))
+        nxt, cdf = _NEXT_CDF[degrees[-1]]
+        degrees.append(nxt[bisect_right(cdf, rng.random())])
     if n_bars >= 2:
         degrees[-2] = 5
     degrees[-1] = 1
@@ -151,23 +166,25 @@ def generate_piece(
     return beats
 
 
-def piece_notes(beats: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, BeatGrid]:
-    """Render per-beat pitch-class sets as octave-4 note rows, merging holds.
+# 12-bit pitch-class mask -> which of the 12 pitch classes it holds
+_PC_BITS = np.arange(1 << 12, dtype=np.uint16)[:, None] & 1 << np.arange(12, dtype=np.uint16) != 0
 
-    Consecutive beats with the same pitch-class set become one held note
-    per pitch, so parsing the file exercises notes that span beats. Returns
-    the (n, 4) int64 notes array, as MidiPiece holds it, and the grid.
+
+def piece_notes(beats: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, BeatGrid]:
+    """Render per-beat pitch-class tuples (0..11) as octave-4 note rows, merging holds.
+
+    Consecutive equal tuples become one held note per pitch, so parsing the
+    file exercises notes that span beats; (0, 4, 7) then (4, 0, 7) are two
+    runs. Returns the (n, 4) int64 notes array, as MidiPiece holds it, and the grid.
     """
-    rows = []
-    b = 0
-    while b < len(beats):
-        run = b + 1
-        while run < len(beats) and beats[run] == beats[b]:
-            run += 1
-        for pc in sorted(set(beats[b])):
-            rows.append((BASE_PITCH + pc, b * TICKS_PER_BEAT, run * TICKS_PER_BEAT, 0))
-        b = run
-    return np.array(rows, dtype=np.int64).reshape(-1, 4), BeatGrid(TICKS_PER_BEAT, len(beats))
+    ids: dict[tuple[int, ...], int] = {}
+    beat_ids = np.array([ids.setdefault(beat, len(ids)) for beat in beats], dtype=np.int64)
+    masks = np.array([sum(1 << pc for pc in set(beat)) for beat in ids], dtype=np.int64)
+    starts = np.flatnonzero(np.diff(beat_ids, prepend=-1))  # where the tuple changes
+    ends = np.append(starts[1:], len(beat_ids))
+    run, pc = np.nonzero(_PC_BITS[masks[beat_ids[starts]]])
+    notes = np.stack((BASE_PITCH + pc, starts[run], ends[run], 0 * pc), axis=1)
+    return notes * [1, TICKS_PER_BEAT, TICKS_PER_BEAT, 1], BeatGrid(TICKS_PER_BEAT, len(beats))
 
 
 def piece_rng(seed: int, root_pc: int, mode: str, index: int) -> np.random.Generator:

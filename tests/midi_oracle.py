@@ -5,9 +5,11 @@ replaced, kept as the oracle that the reader is tested against. It differs
 from its earlier form in one rule only: a channel message with a data byte
 of 0x80 or more is refused, as the reader refuses it.
 
-Beside it: ``sounding_pitches``, the per-beat scan that slicing is tested
-against, and ``note_array``, which turns NoteEvents into the (n, 4) notes
-array that MidiPiece, write_smf and emit_midi take.
+Beside it: ``write_smf_reference``, the per-message writer that
+slicevec.midi's array writer replaced, with its ``write_varlen``;
+``sounding_pitches``, the per-beat scan that slicing is tested against; and
+``note_array``, which turns NoteEvents into the (n, 4) notes array that
+MidiPiece, write_smf and emit_midi take.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from slicevec.midi import (
     MAX_BEATS,
+    MAX_VARLEN,
     PERCUSSION_CHANNEL,
     BeatGrid,
     MidiParseError,
@@ -182,6 +185,43 @@ def parse_midi_reference(data: bytes) -> tuple[list[NoteEvent], BeatGrid, int]:
     else:
         length_beats = 0
     return events, BeatGrid(division, length_beats), unclosed
+
+
+def write_varlen(value: int) -> bytes:
+    """The variable-length quantity of value, 1 to 4 bytes, most significant group first."""
+    if not 0 <= value <= MAX_VARLEN:
+        raise ValueError(f"variable-length quantity {value} is outside 0..{MAX_VARLEN}")
+    out = [value & 0x7F]
+    value >>= 7
+    while value:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    return bytes(reversed(out))
+
+
+def write_smf_reference(
+    notes, ticks_per_beat: int, *, velocity: int = 80, tempo_us_per_beat: int = 500_000
+) -> bytes:
+    """write_smf's bytes, one message at a time; the range checks are write_smf's job."""
+    notes = np.asarray(notes, dtype=np.int64).reshape(-1, 4)
+    pitch, onset, offset, channel = notes.T
+    is_on = np.repeat([1, 0], len(notes))
+    tick, channel, pitch = np.concatenate((onset, offset)), np.tile(channel, 2), np.tile(pitch, 2)
+    order = np.lexsort((pitch, channel, is_on, tick))
+    messages = np.stack((0x80 | is_on << 4 | channel, pitch, is_on * velocity), axis=1)
+    raw = messages[order].astype(np.uint8).tobytes()  # 3 bytes per message
+
+    body = bytearray(b"\x00\xff\x51\x03" + struct.pack(">I", tempo_us_per_beat)[1:])
+    for i, delta in enumerate(np.diff(tick[order], prepend=0).tolist()):
+        while delta > MAX_VARLEN:
+            body += write_varlen(MAX_VARLEN) + b"\xff\x01\x00"
+            delta -= MAX_VARLEN
+        body += write_varlen(delta)
+        body += raw[3 * i : 3 * i + 3]
+    body += b"\x00\xff\x2f\x00"
+
+    header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, ticks_per_beat)
+    return header + b"MTrk" + struct.pack(">I", len(body)) + bytes(body)
 
 
 def note_array(events: Iterable[NoteEvent]) -> np.ndarray:

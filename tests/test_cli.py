@@ -15,8 +15,10 @@ import pytest
 
 import slicevec
 from slicevec.analysis import CIRCLE_OF_FIFTHS, SimilarityMatrix
+from slicevec import cli
 from slicevec.cli import main
 from slicevec.midi import parse_midi, write_smf
+from slicevec.trainer import NumericalAbortError
 
 
 @pytest.fixture(autouse=True)
@@ -375,9 +377,14 @@ def test_unreadable_config_and_unwritable_outputs_exit_in_one_line(
          *_CACHES],
         ["generate", "--midi-in", "{run}/midi/C_major_00.mid", "--midi-out", "x.mid",
          "--diagnostics", "./x.mid", *_CACHES],
+        ["train", "--dims", "4", "--steps", "5", *_CACHES[:4],
+         "--embedding-path", "{run}/./corpus.txt"],
+        ["ingest", "--corpus-dir", "{run}/midi", "--corpus-cache", "{run}/corpus.txt",
+         "--vocab-cache", "{run}/../{runname}/corpus.txt"],
     ],
     ids=["analyze-over-embedding", "analyze-over-corpus", "analyze-over-loss-csv",
-         "generate-over-vocab", "generate-diagnostics-over-midi-out"],
+         "generate-over-vocab", "generate-diagnostics-over-midi-out",
+         "train-embedding-over-corpus", "ingest-vocab-over-corpus"],
 )
 def test_outputs_naming_a_cache_or_each_other_exit_1(capsys, trained_run, argv):
     def digests():
@@ -391,6 +398,32 @@ def test_outputs_naming_a_cache_or_each_other_exit_1(capsys, trained_run, argv):
     assert err.startswith("config error: output ") and err.count("\n") == 1, err
     assert os.listdir() == []
     assert digests() == before
+
+
+def test_train_opens_its_outputs_before_it_trains(capsys, trained_run, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("train() ran although an output cannot be written")
+
+    monkeypatch.setattr(cli, "train", unreachable)
+    argv = ["train", *_CACHES[:4], "--embedding-path", "nodir/e.txt"]
+    rc = main([arg.format(run=trained_run) for arg in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("data error: [Errno 2] No such file")
+    assert os.listdir() == []  # loss.csv, opened first, is removed again
+
+
+def test_failed_training_removes_only_the_outputs_it_created(capsys, trained_run, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise NumericalAbortError(1, -1)
+
+    monkeypatch.setattr(cli, "train", diverge)
+    with open("loss.csv", "w") as fh:
+        fh.write("kept\n")
+    rc = main([arg.format(run=trained_run) for arg in ["train", *_CACHES[:4]]])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical abort: non-finite value during batch 1\n"
+    assert os.listdir() == ["loss.csv"]  # no empty embedding.txt is left behind
+    assert open("loss.csv").read() == "kept\n"
 
 
 def _embedding(rows):

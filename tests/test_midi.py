@@ -7,15 +7,17 @@ import struct
 
 import numpy as np
 import pytest
-from midi_oracle import note_array, sounding_pitches
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from midi_oracle import note_array, sounding_pitches, write_smf_reference, write_varlen
 
 from slicevec.midi import (
     MAX_BEATS,
+    MAX_VARLEN,
     BeatGrid,
     MidiParseError,
     NoteEvent,
     _read_varlen,
-    _write_varlen,
     parse_midi,
     write_smf,
 )
@@ -193,7 +195,7 @@ def test_unsupported_status_rejected():
 
 def far_note_file() -> bytes:
     """37 bytes, PPQ 1: one note from tick 2^28 - 2 to 2^28 - 1."""
-    body = _write_varlen((1 << 28) - 2) + bytes([0x90, 60, 64, 0x01, 0x80, 60, 0]) + EOT
+    body = write_varlen((1 << 28) - 2) + bytes([0x90, 60, 64, 0x01, 0x80, 60, 0]) + EOT
     return header(0, 1, 1) + track(body)
 
 
@@ -206,7 +208,7 @@ def test_piece_longer_than_max_beats_is_refused():
 
 def test_max_beats_counts_across_tracks():
     def note_until(tick: int) -> bytes:
-        return track(_write_varlen(tick - 1) + bytes([0x90, 60, 64, 0x01, 0x80, 60, 0]) + EOT)
+        return track(write_varlen(tick - 1) + bytes([0x90, 60, 64, 0x01, 0x80, 60, 0]) + EOT)
 
     at_limit = parse_midi(header(1, 2, 2) + note_until(4) + note_until(2 * MAX_BEATS))
     assert at_limit.grid == BeatGrid(2, MAX_BEATS)
@@ -218,7 +220,7 @@ def test_varlen_round_trip():
     boundary = [0, 1, 0x7F, 0x80, 0x3FFF, 0x4000, 0x1FFFFF, 0x200000, 0x0FFFFFFF]
     rnd = random.Random(2)
     for value in boundary + [rnd.randrange(0x0FFFFFFF) for _ in range(200)]:
-        encoded = _write_varlen(value)
+        encoded = write_varlen(value)
         assert 1 <= len(encoded) <= 4
         decoded, pos = _read_varlen(encoded + b"\xAA", 0)
         assert decoded == value
@@ -319,11 +321,14 @@ def test_writer_emits_offs_before_ons_at_shared_ticks():
 
 
 def test_writer_accepts_largest_delta_and_refuses_larger():
-    # the delta encoder refuses more than MAX_VARLEN; the writer splits longer
-    # gaps with empty text events, so every gap round-trips
+    # a delta holds at most MAX_VARLEN; the writer splits longer gaps with
+    # empty text events, so every gap round-trips, and refuses only a note
+    # before tick 0, whose first delta would be negative
     largest = (1 << 28) - 1
     with pytest.raises(ValueError, match="variable-length"):
-        _write_varlen(largest + 1)
+        write_varlen(largest + 1)
+    with pytest.raises(ValueError, match="variable-length quantity -2 "):
+        write_smf([(60, -2, 5, 0)], 10)
     for events in (
         [NoteEvent(60, 0, largest, 0)],
         [NoteEvent(60, 0, largest + 1, 0)],
@@ -420,3 +425,48 @@ def test_writer_never_puts_a_status_byte_where_a_data_byte_belongs():
             assert d1 < 0x80 and d2 < 0x80
             n_messages += 1
         assert (d1, pos, n_messages) == (0x2F, len(data), 2 * len(rows))
+
+
+# deltas on each side of every varlen width change, the largest delta, and
+# gaps that need one, two and five filler events
+VARLEN_EDGES = (
+    0, 1, 0x7F, 0x80, 0x3FFF, 0x4000, 0x1FFFFF, 0x200000, MAX_VARLEN - 1, MAX_VARLEN,
+    MAX_VARLEN + 1, 2 * MAX_VARLEN, 2 * MAX_VARLEN + 1, 5 * MAX_VARLEN + 3,
+)
+
+
+@pytest.mark.parametrize("gap", VARLEN_EDGES[1:])
+def test_writer_matches_the_per_message_oracle_at_each_delta_edge(gap):
+    # the gap as the delta of a note-off, then of a note-on, then around a shared tick
+    for rows in (
+        [(60, 0, gap, 0)],
+        [(60, gap, gap + 1, 0)],
+        [(60, 0, gap, 0), (62, gap, 2 * gap, 3), (64, 2 * gap + 1, 2 * gap + 2, 15)],
+    ):
+        assert write_smf(rows, 96) == write_smf_reference(rows, 96)
+    assert write_smf([], 96) == write_smf_reference([], 96)  # the empty piece
+
+
+@st.composite
+def note_arrays(draw) -> np.ndarray:
+    """Notes whose onset gaps and lengths are drawn from the delta edges."""
+    rows, onset = [], 0
+    for _ in range(draw(st.integers(0, 24))):
+        onset += draw(st.sampled_from(VARLEN_EDGES[:9]) | st.sampled_from(VARLEN_EDGES))
+        length = draw(st.sampled_from(VARLEN_EDGES[1:]) | st.integers(1, 300))
+        rows.append((draw(st.integers(0, 127)), onset, onset + length, draw(st.integers(0, 15))))
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+@given(
+    notes=note_arrays(),
+    ticks_per_beat=st.integers(1, 0x7FFF),
+    velocity=st.integers(1, 127),
+    tempo=st.integers(1, 0xFFFFFF),
+)
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_writer_matches_the_per_message_oracle(notes, ticks_per_beat, velocity, tempo):
+    assert write_smf(
+        notes, ticks_per_beat, velocity=velocity, tempo_us_per_beat=tempo
+    ) == write_smf_reference(notes, ticks_per_beat, velocity=velocity, tempo_us_per_beat=tempo)

@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
-from midi_oracle import note_array, parse_midi_reference
+from midi_oracle import note_array, parse_midi_reference, write_varlen
 
 from slicevec.midi import (
     PERCUSSION_CHANNEL,
     MidiParseError,
     MidiPiece,
     NoteEvent,
-    _write_varlen,
     parse_midi,
     write_smf,
 )
@@ -57,17 +56,17 @@ def track_bodies(draw) -> bytes:
     body = bytearray()
     running = None
     for _ in range(draw(st.integers(0, 20))):
-        body += _write_varlen(draw(st.sampled_from(DELTAS)))
+        body += write_varlen(draw(st.sampled_from(DELTAS)))
         kind = draw(st.sampled_from(("on", "on", "off", "off", "on0", "other", "meta", "sysex")))
         if kind == "meta":
             payload = draw(st.binary(max_size=4))
             meta_type = draw(st.sampled_from((0x03, 0x51, 0x58, 0x2F)))
-            body += bytes([0xFF, meta_type]) + _write_varlen(len(payload)) + payload
+            body += bytes([0xFF, meta_type]) + write_varlen(len(payload)) + payload
             running = None
             continue
         if kind == "sysex":
             payload = draw(st.binary(max_size=4))
-            body += bytes([draw(st.sampled_from((0xF0, 0xF7)))]) + _write_varlen(len(payload)) + payload
+            body += bytes([draw(st.sampled_from((0xF0, 0xF7)))]) + write_varlen(len(payload)) + payload
             running = None
             continue
         channel = draw(st.sampled_from(CHANNELS))

@@ -10,8 +10,11 @@ import pytest
 from slicevec.midi import MAX_BEATS, parse_midi
 from slicevec.slicer import make_slice, slices_from_piece
 from slicevec.synth import (
+    _TRANSITIONS,
+    BASE_PITCH,
     BEATS_PER_BAR,
     TICKS_PER_BEAT,
+    _progression,
     generate_piece,
     key_filename,
     parse_key_filename,
@@ -100,6 +103,67 @@ def test_piece_notes_merges_holds():
         [67, 4 * tpb, 5 * tpb, 0],
     ]
     assert grid.ticks_per_beat == tpb and grid.piece_length_beats == 5
+
+
+def progression_by_choice(n_bars, rng):
+    """_progression as Generator.choice draws it: the reference for the cdf search."""
+    degrees = [1]
+    for _ in range(n_bars - 1):
+        nxt, probs = zip(*_TRANSITIONS[degrees[-1]])
+        degrees.append(int(rng.choice(nxt, p=probs)))
+    if n_bars >= 2:
+        degrees[-2] = 5
+    degrees[-1] = 1
+    return degrees
+
+
+def test_progression_draws_what_generator_choice_draws():
+    for seed in range(1000):
+        root, mode, index = seed % 12, ("major", "minor")[seed % 2], seed % 5
+        for n_bars in (1, 2, 3, 9, 40):
+            ours, theirs = piece_rng(seed, root, mode, index), piece_rng(seed, root, mode, index)
+            assert _progression(n_bars, ours) == progression_by_choice(n_bars, theirs)
+            assert ours.random() == theirs.random()  # the same stream state after
+
+
+def piece_notes_by_walk(beats):
+    """piece_notes' rows, one run of equal beat tuples at a time: the reference."""
+    rows = []
+    b = 0
+    while b < len(beats):
+        run = b + 1
+        while run < len(beats) and beats[run] == beats[b]:
+            run += 1
+        for pc in sorted(set(beats[b])):
+            rows.append((BASE_PITCH + pc, b * TICKS_PER_BEAT, run * TICKS_PER_BEAT, 0))
+        b = run
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def test_piece_notes_breaks_runs_where_tuples_differ():
+    notes, grid = piece_notes([(0, 4, 7), (4, 0, 7), (4, 0, 7)])
+    tpb = TICKS_PER_BEAT
+    assert notes[:, 1:3].tolist() == [[0, tpb]] * 3 + [[tpb, 3 * tpb]] * 3
+    assert notes[:, 0].tolist() == [60, 64, 67] * 2
+    notes, grid = piece_notes([])
+    assert notes.shape == (0, 4) and notes.dtype == np.int64
+    assert grid.piece_length_beats == 0
+
+
+def test_piece_notes_matches_the_run_walk():
+    rnd = random.Random(16)
+    # neighbours equal as sets but not as tuples, a repeated pitch class, rests
+    pool = [(0, 4, 7), (4, 0, 7), (7, 4, 0), (0, 4), (4, 0), (0, 0, 4), (0,), (), (11, 2)]
+    for _ in range(600):
+        beats = [
+            rnd.choice(pool) if rnd.random() < 0.8
+            else tuple(rnd.sample(range(12), rnd.randrange(0, 6)))
+            for _ in range(rnd.randrange(0, 40))
+        ]
+        notes, grid = piece_notes(beats)
+        assert notes.dtype == np.int64
+        assert np.array_equal(notes, piece_notes_by_walk(beats))
+        assert grid.piece_length_beats == len(beats)
 
 
 def test_piece_round_trips_through_midi():
