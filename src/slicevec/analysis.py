@@ -19,6 +19,9 @@ import numpy as np
 from .embedding import EmbeddingSpace, cosine_distance, pair_vector_angle
 from .slicer import Slice
 
+# the most floats key_similarity_matrix gathers at once (8 MB of float64)
+GATHER_FLOATS = 1 << 20
+
 # circle-of-fifths order: successive entries are a perfect fifth apart
 CIRCLE_OF_FIFTHS = ("C", "G", "D", "A", "E", "B", "F#", "Db", "Ab", "Eb", "Bb", "F")
 PC_OF_NAME = {
@@ -190,38 +193,45 @@ def key_similarity_matrix(
     """
     if not pieces:
         raise ValueError(f"no {mode} pieces to analyze")
-    roots = [PC_OF_NAME[name] for name in CIRCLE_OF_FIFTHS]
+    roots = np.array([PC_OF_NAME[name] for name in CIRCLE_OF_FIFTHS])
     # row s of shifted_rows: the space row of distinct slice s transposed by
-    # 0..11 semitones, -1 out of vocabulary. Gathering a piece's rows from it
-    # gives piece_centroid(space, transpose_piece(...)) its rows, in order.
-    index: dict[Slice, int] = {}
+    # 0..11 semitones, or the zero row past the vectors when out of vocabulary
+    index: dict[str, int] = {}
     pieces_ids = [
-        np.array([index.setdefault(s, len(index)) for s in slices], dtype=np.intp)
+        np.array([index.setdefault(s.form, len(index)) for s in slices], dtype=np.intp)
         for slices, _ in pieces
     ]
+    zero = space.size
     row_of = {form: row for row, form in enumerate(space.forms)}
     shifted_rows = np.array(
-        [[row_of.get(s.transpose(k).form, -1) for k in range(12)] for s in index],
+        [[row_of.get(s.transpose(k).form, zero) for k in range(12)]
+         for s in map(Slice.from_form, index)],
         dtype=np.intp,
     ).reshape(-1, 12)
+    # -0.0, not 0.0: x + -0.0 == x for every x, so a padded sum keeps its bits
+    padded = np.vstack([space.vectors, np.full((1, space.dims), -0.0)])
+    block = max(1, GATHER_FLOATS // (12 * space.dims))
     total = np.zeros((12, 12), dtype=np.float64)
     i, j = np.triu_indices(12, 1)
     used = 0
     for idx, (ids, (_, piece_root)) in enumerate(zip(pieces_ids, pieces)):
-        centroids = []
-        for target in roots:
-            rows = shifted_rows[ids, (target - piece_root) % 12]
-            rows = rows[rows >= 0]
-            if not len(rows):
-                break
-            centroids.append(space.vectors[rows].mean(axis=0))
-        if len(centroids) < 12:
+        # column t: each distinct slice's row transposed onto roots[t]
+        table = shifted_rows[:, (roots - piece_root) % 12]
+        counts = np.bincount(ids, minlength=len(table)) @ (table != zero)
+        if not counts.all():
             warnings.warn(
                 f"piece {idx}: a transposition has no in-vocabulary slices; "
                 "piece excluded from the key-similarity average"
             )
             continue
-        centroids = np.stack(centroids)
+        # one running sum per transposition in beat order, as the mean of its
+        # in-vocabulary rows takes it; each block carries the sum so far in
+        sums = padded[table[ids[:block]]].sum(axis=0)
+        for start in range(block, len(ids), block):
+            part = padded[table[ids[start : start + block]]]
+            part[0] += sums
+            sums = part.sum(axis=0)
+        centroids = sums / counts[:, None]
         # a running sum: one addition per element and piece, in piece order
         dist = cosine_distance(centroids[i], centroids[j])
         total[i, j] += dist

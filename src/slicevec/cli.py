@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import glob
+import hashlib
 import os
 import sys
+from collections.abc import Container
 from dataclasses import fields
 
 from . import analysis, generator, synth
@@ -18,10 +21,12 @@ from .config import VALUE_PARSERS, ConfigError, PipelineConfig, resolve_config
 from .embedding import EmbeddingSpace, load_embedding, save_embedding
 from .midi import MidiParseError, parse_midi
 from .slicer import (
+    Slice,
     build_vocabulary,
     encode_corpus,
     load_corpus,
     load_vocabulary,
+    read_corpus_lines,
     save_corpus,
     save_vocabulary,
     slices_from_piece,
@@ -98,17 +103,18 @@ def _midi_paths(directory: str) -> list[str]:
     )
 
 
-def _parse_midi_files(paths: list[str]) -> list[tuple[str, object]]:
-    """(path, MidiPiece) for each file that parses; the others are skipped."""
+def _parse_midi_files(paths: list[str], cached: Container[str] = frozenset()) -> list[tuple]:
+    """(path, sha256 hex digest of its bytes, MidiPiece) for each file that parses; the
+    others are skipped. A file whose digest is in cached is not parsed: its piece is None."""
     parsed = []
     for path in paths:
         try:
             with open(path, "rb") as fh:
-                piece = parse_midi(fh.read())
+                data = fh.read()
+            digest = hashlib.sha256(data).hexdigest()
+            parsed.append((path, digest, None if digest in cached else parse_midi(data)))
         except (MidiParseError, OSError) as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
-            continue
-        parsed.append((path, piece))
     return parsed
 
 
@@ -131,8 +137,8 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     parsed = _parse_midi_files(_midi_paths(cfg.corpus_dir))
     if not parsed:
         raise DataError(f"no parseable MIDI files in {cfg.corpus_dir}")
-    pieces = [slices_from_piece(piece) for _, piece in parsed]
-    unclosed = sum(piece.unclosed_notes for _, piece in parsed)
+    pieces = [slices_from_piece(piece) for _, _, piece in parsed]
+    unclosed = sum(piece.unclosed_notes for _, _, piece in parsed)
     if unclosed:
         print(f"warning: {unclosed} unclosed notes were closed at end of track", file=sys.stderr)
     all_slices = [s for piece in pieces for s in piece]
@@ -140,7 +146,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
         raise DataError("corpus contains no beats; cannot build a vocabulary")
     vocab = build_vocabulary(iter(all_slices), cfg.vocab_size)
     with _writing([cfg.corpus_cache, cfg.vocab_cache]):
-        save_corpus(cfg.corpus_cache, pieces)
+        save_corpus(cfg.corpus_cache, pieces, [digest for _, digest, _ in parsed])
         save_vocabulary(cfg.vocab_cache, vocab)
     unique = len({s.form for s in all_slices})
     print(f"pieces: {len(pieces)}")
@@ -251,9 +257,16 @@ def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) ->
             root_of[path] = root
     if not root_of:
         raise DataError(f"no {args.mode} pieces with key-labeled filenames in {pieces_dir}")
+    # a file whose bytes ingest sliced into the corpus cache takes its slices
+    # from there; the digest match keeps an edited file from being served stale
+    cached = {}
+    if os.path.exists(cfg.corpus_cache):
+        cached = {d: forms for d, forms in read_corpus_lines(cfg.corpus_cache) if d}
+    slice_of = functools.cache(Slice.from_form)
     labeled = [
-        (slices_from_piece(piece), root_of[path])
-        for path, piece in _parse_midi_files(list(root_of))
+        (slices_from_piece(piece) if piece else [slice_of(f) for f in cached[digest].split()],
+         root_of[path])
+        for path, digest, piece in _parse_midi_files(list(root_of), cached)
     ]
     if not labeled:
         raise DataError(

@@ -161,7 +161,7 @@ def save_embedding(path: str, space: EmbeddingSpace) -> None:
 
 def load_embedding(path: str) -> EmbeddingSpace:
     with open(path, "r", encoding="ascii") as fh:
-        size, dims = read_cache_header(fh, path, EMBEDDING_MAGIC, FORMAT_VERSION, 2)
+        _, (size, dims) = read_cache_header(fh, path, EMBEDDING_MAGIC, (FORMAT_VERSION,), 2)
         # every value on a vector line takes at least 2 bytes (itself and a
         # separator), so a header counting more cannot be this file's
         if 2 * size * (dims + 1) > os.fstat(fh.fileno()).st_size:

@@ -61,10 +61,6 @@ class BeatGrid:
         if self.piece_length_beats < 0:
             raise ValueError("piece_length_beats must be >= 0")
 
-    def beat_span(self, beat: int) -> tuple[int, int]:
-        start = beat * self.ticks_per_beat
-        return start, start + self.ticks_per_beat
-
 
 @dataclass(eq=False)  # identity equality: field equality on an array is ambiguous
 class MidiPiece:

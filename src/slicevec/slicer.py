@@ -8,6 +8,7 @@ the vocabulary frequency cutoff fold into the catch-all token "UNK".
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -53,7 +54,9 @@ class Slice:
         return cls(pcs)
 
     def transpose(self, semitones: int) -> "Slice":
-        return Slice(tuple(sorted((pc + semitones) % 12 for pc in self.pitch_classes)))
+        """The slice shifted by semitones: its 12-bit pitch-class mask rotated."""
+        mask, k = sum(1 << pc for pc in self.pitch_classes), semitones % 12
+        return _slice_of_mask((mask << k | mask >> (12 - k)) & 0xFFF)
 
     def __str__(self) -> str:
         return self.form
@@ -204,24 +207,26 @@ def encode_corpus(pieces: Iterable[Sequence[Slice]], vocab: Vocabulary) -> Encod
     )
 
 
-def decode_piece(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
-    """Token ids back to canonical forms; UNK decodes to "UNK"."""
-    return [vocab.form_of(int(t)) for t in ids]
-
-
 # ---------------------------------------------------------------------------
 # cache files
 
 CORPUS_MAGIC = "SLICECORPUS"
 VOCAB_MAGIC = "SLICEVOCAB"
 FORMAT_VERSION = "v1"
+CORPUS_VERSION = "v2"  # each piece line leads with the sha256 of its file's bytes
+_DIGEST = re.compile("[0-9a-f]{64}")
 
 
-def save_corpus(path: str, pieces: Sequence[Sequence[Slice]]) -> None:
-    """Text cache: header line, then one line of slice forms per piece."""
-    lines = [f"{CORPUS_MAGIC} {FORMAT_VERSION} {len(pieces)}"]
-    for piece in pieces:
-        lines.append(" ".join(s.form for s in piece))
+def save_corpus(path: str, pieces: Sequence[Sequence[Slice]], digests: Sequence[str] = ()) -> None:
+    """Text cache: header line, then one line of slice forms per piece.
+
+    Given digests (the sha256 hex digest of each piece's file), the cache is
+    v2 and each line leads with its piece's digest; without, it is v1.
+    """
+    lines = [f"{CORPUS_MAGIC} {CORPUS_VERSION if digests else FORMAT_VERSION} {len(pieces)}"]
+    for i, piece in enumerate(pieces):
+        lead = [digests[i]] if digests else []
+        lines.append(" ".join(lead + [s.form for s in piece]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -234,17 +239,17 @@ def read_cache_line(fh, path: str) -> str:
     return line
 
 
-def read_cache_header(fh, path: str, magic: str, version: str, n_counts: int) -> list[int]:
-    """The counts on a cache file's "<magic> <version> <count>..." header line."""
+def read_cache_header(fh, path: str, magic: str, versions, n_counts: int) -> tuple[str, list[int]]:
+    """The version (one of versions) and counts on a "<magic> <version> <count>..." header line."""
     header = read_cache_line(fh, path).split()
     if len(header) != 2 + n_counts or header[0] != magic:
         raise ValueError(f"{path}: not a {magic} file")
-    if header[1] != version:
+    if header[1] not in versions:
         raise ValueError(f"{path}: unsupported version {header[1]}")
     counts = [int(c) for c in header[2:]]
     if min(counts) < 0:
         raise ValueError(f"{path}: negative count in header")
-    return counts
+    return header[1], counts
 
 
 def check_cache_end(fh, path: str, n_lines: int) -> None:
@@ -253,19 +258,33 @@ def check_cache_end(fh, path: str, n_lines: int) -> None:
         raise ValueError(f"{path}: content after the {n_lines} counted lines")
 
 
-def load_corpus(path: str) -> list[list[Slice]]:
-    """The cached pieces; every occurrence of a form is the same Slice."""
+def read_corpus_lines(path: str) -> Iterator[tuple[str | None, str]]:
+    """(file digest, slice forms as one string) per cached piece, read lazily.
+
+    The digest is None in a v1 cache. Refusals are raised as the lines are
+    reached, so a caller checks the whole file by reading it to the end.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        (n_pieces,) = read_cache_header(fh, path, CORPUS_MAGIC, FORMAT_VERSION, 1)
-        slice_of = cache(Slice.from_form)
-        pieces = []
+        versions = (FORMAT_VERSION, CORPUS_VERSION)
+        version, (n_pieces,) = read_cache_header(fh, path, CORPUS_MAGIC, versions, 1)
         for i in range(n_pieces):
             line = read_cache_line(fh, path)
             if not line:
                 raise ValueError(f"{path}: expected {n_pieces} pieces, found {i}")
-            pieces.append([slice_of(form) for form in line.split()])
+            if version == FORMAT_VERSION:
+                yield None, line
+                continue
+            digest, _, forms = line.rstrip("\n").partition(" ")
+            if not _DIGEST.fullmatch(digest):
+                raise ValueError(f"{path}: piece {i} does not lead with a sha256 digest")
+            yield digest, forms
         check_cache_end(fh, path, n_pieces)
-    return pieces
+
+
+def load_corpus(path: str) -> list[list[Slice]]:
+    """The cached pieces; every occurrence of a form is the same Slice."""
+    slice_of = cache(Slice.from_form)
+    return [[slice_of(form) for form in forms.split()] for _, forms in read_corpus_lines(path)]
 
 
 def save_vocabulary(path: str, vocab: Vocabulary) -> None:
@@ -279,7 +298,7 @@ def save_vocabulary(path: str, vocab: Vocabulary) -> None:
 
 def load_vocabulary(path: str) -> Vocabulary:
     with open(path, "r", encoding="ascii") as fh:
-        (size,) = read_cache_header(fh, path, VOCAB_MAGIC, FORMAT_VERSION, 1)
+        _, (size,) = read_cache_header(fh, path, VOCAB_MAGIC, (FORMAT_VERSION,), 1)
         ranked: list[tuple[Slice, int]] = []
         unk_count = None
         for expected in range(size):

@@ -7,9 +7,9 @@ of 0x80 or more is refused, as the reader refuses it.
 
 Beside it: ``write_smf_reference``, the per-message writer that
 slicevec.midi's array writer replaced, with its ``write_varlen``;
-``sounding_pitches``, the per-beat scan that slicing is tested against; and
-``note_array``, which turns NoteEvents into the (n, 4) notes array that
-MidiPiece, write_smf and emit_midi take.
+``sounding_pitches``, the per-beat scan that slicing is tested against, with
+the ``beat_span`` it scans; and ``note_array``, which turns NoteEvents into
+the (n, 4) notes array that MidiPiece, write_smf and emit_midi take.
 """
 
 from __future__ import annotations
@@ -230,6 +230,12 @@ def note_array(events: Iterable[NoteEvent]) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(-1, 4)
 
 
+def beat_span(grid: BeatGrid, beat: int) -> tuple[int, int]:
+    """Beat b covers ticks [b * ticks_per_beat, (b+1) * ticks_per_beat)."""
+    start = beat * grid.ticks_per_beat
+    return start, start + grid.ticks_per_beat
+
+
 def sounding_pitches(events: list[NoteEvent], grid: BeatGrid, beat: int) -> set[int]:
     """Pitches whose [onset, offset) interval intersects the beat's ticks.
 
@@ -240,5 +246,5 @@ def sounding_pitches(events: list[NoteEvent], grid: BeatGrid, beat: int) -> set[
         raise IndexError(
             f"beat {beat} out of range 0..{grid.piece_length_beats - 1}"
         )
-    start, end = grid.beat_span(beat)
+    start, end = beat_span(grid, beat)
     return {e.pitch for e in events if e.onset_ticks < end and e.offset_ticks > start}

@@ -1,6 +1,9 @@
-"""The three cache loaders refuse every truncated or extended copy of a saved file."""
+"""The three cache loaders refuse every truncated or extended copy of a saved file,
+the corpus cache in both its formats."""
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,8 +30,15 @@ _SPACE = EmbeddingSpace(
 )
 
 
+_DIGESTS = [hashlib.sha256(bytes([i])).hexdigest() for i in range(len(_PIECES))]
+
+
 def _save_corpus(path):
     save_corpus(path, _PIECES)
+
+
+def _save_corpus_v2(path):
+    save_corpus(path, _PIECES, _DIGESTS)
 
 
 def _save_vocab(path):
@@ -42,6 +52,7 @@ def _save_space(path):
 # (save, load, a line that would be valid had the header counted it)
 CACHES = {
     "corpus": (_save_corpus, load_corpus, "0.4.7 2.7.11"),
+    "corpus_v2": (_save_corpus_v2, load_corpus, f"{_DIGESTS[0]} 0.4.7 2.7.11"),
     "vocab": (_save_vocab, load_vocabulary, "3 2.7.11 1"),
     "embedding": (_save_space, load_embedding, "2.7.11 1.0 2.0"),
 }

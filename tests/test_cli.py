@@ -507,10 +507,12 @@ def test_analyze_rejects_embedding_header_beyond_file_size(capsys):
 # sha256 of the outputs of a small two-mode pipeline. Slicing, the key matrix
 # and substitution have faster paths than the per-beat reference code; these
 # digests were taken from that reference code and pin its bytes. The chords
-# and analogy digests were taken from the per-pair scalar cosine code.
+# and analogy digests were taken from the per-pair scalar cosine code. The
+# corpus.txt digest is of the v2 cache, whose lines lead with each file's
+# sha256; with those tokens stripped it is the v1 file the reference wrote.
 _GOLDEN_SHA256 = {
     "corpus.txt":
-        "32a77bddc1f77f5ac01876f4bcbef63b6d2915eea35b2e2a9003f18225f14afd",
+        "d57a6eadcbaac9ea9c35125bc66f517e4297aa605cb3b611816c3c40fddc94b8",
     "vocab.txt":
         "fccb9406b8c57a86c94f36fcfa64ec208e05a2989b77c1723aaba7f0d2235fd6",
     "embedding.txt":

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from midi_oracle import note_array, sounding_pitches, write_smf_reference, write_varlen
+from midi_oracle import (
+    beat_span,
+    note_array,
+    sounding_pitches,
+    write_smf_reference,
+    write_varlen,
+)
 
 from slicevec.midi import (
     MAX_BEATS,
@@ -239,7 +245,7 @@ def test_sounding_pitches_matches_per_tick_oracle():
         n_beats = max(-(-e.offset_ticks // tpb) for e in events)
         grid = BeatGrid(tpb, n_beats)
         for beat in range(n_beats):
-            start, end = grid.beat_span(beat)
+            start, end = beat_span(grid, beat)
             expected = {
                 e.pitch
                 for e in events

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 
@@ -15,11 +16,11 @@ from slicevec.slicer import (
     Slice,
     Vocabulary,
     build_vocabulary,
-    decode_piece,
     encode_corpus,
     load_corpus,
     load_vocabulary,
     make_slice,
+    read_corpus_lines,
     save_corpus,
     save_vocabulary,
     slices_from_piece,
@@ -201,6 +202,11 @@ def test_build_vocabulary_rejects_bad_inputs():
         build_vocabulary(iter([]), max_size=5)
 
 
+def decode_piece(ids, vocab: Vocabulary) -> list[str]:
+    """Token ids back to canonical forms; UNK decodes to "UNK"."""
+    return [vocab.form_of(int(t)) for t in ids]
+
+
 def test_encode_decode():
     pieces = [[Slice((0,)), Slice((4,)), Slice((0,))], [Slice((9,))]]
     vocab = build_vocabulary((s for p in pieces for s in p), max_size=3)
@@ -225,13 +231,17 @@ def test_corpus_cache_round_trip_and_byte_stability(tmp_path):
         [],
         [Slice((11,))],
     ]
+    digests = [hashlib.sha256(bytes([i])).hexdigest() for i in range(3)]
     path = tmp_path / "corpus.txt"
-    save_corpus(str(path), pieces)
+    save_corpus(str(path), pieces, digests)
     first = path.read_bytes()
-    assert first.startswith(b"SLICECORPUS v1 3\n")
+    assert first.startswith(b"SLICECORPUS v2 3\n")
+    assert list(read_corpus_lines(str(path))) == [
+        (d, " ".join(s.form for s in piece)) for d, piece in zip(digests, pieces)
+    ]
     loaded = load_corpus(str(path))
     assert loaded == pieces
-    save_corpus(str(path), loaded)
+    save_corpus(str(path), loaded, digests)
     assert path.read_bytes() == first
 
 
@@ -253,7 +263,7 @@ def test_corpus_cache_rejects_malformed(tmp_path):
     path.write_text("WRONG v1 1\n0.4.7\n")
     with pytest.raises(ValueError, match="SLICECORPUS"):
         load_corpus(str(path))
-    path.write_text("SLICECORPUS v2 1\n0.4.7\n")
+    path.write_text("SLICECORPUS v9 1\n0.4.7\n")
     with pytest.raises(ValueError, match="version"):
         load_corpus(str(path))
     path.write_text("SLICECORPUS v1 2\n0.4.7\n")
