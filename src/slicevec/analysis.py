@@ -12,12 +12,12 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .embedding import EmbeddingSpace, cosine_distance, pair_vector_angle
-from .slicer import Slice
+from .slicer import N_MASKS, SLICE_OF_FORM, Slice
 
 # the most floats key_similarity_matrix gathers at once (8 MB of float64)
 GATHER_FLOATS = 1 << 20
@@ -106,19 +106,6 @@ def chord_distance_profile(
     return profile
 
 
-def transpose_piece(slices: Iterable[Slice], semitones: int) -> list[Slice]:
-    """Shift every pitch class by semitones (mod 12); length preserved."""
-    return [s.transpose(semitones) for s in slices]
-
-
-def piece_centroid(space: EmbeddingSpace, slices: Sequence[Slice]) -> tuple[np.ndarray | None, int]:
-    """Mean of the in-vocabulary slice vectors; (None, 0) if none are."""
-    rows = [space.id_of(s.form) for s in slices if s.form in space]
-    if not rows:
-        return None, 0
-    return space.vectors[rows].mean(axis=0), len(rows)
-
-
 @dataclass
 class SimilarityMatrix:
     """Square labeled matrix of distances or angles, CSV-serializable."""
@@ -194,27 +181,24 @@ def key_similarity_matrix(
     if not pieces:
         raise ValueError(f"no {mode} pieces to analyze")
     roots = np.array([PC_OF_NAME[name] for name in CIRCLE_OF_FIFTHS])
-    # row s of shifted_rows: the space row of distinct slice s transposed by
-    # 0..11 semitones, or the zero row past the vectors when out of vocabulary
-    index: dict[str, int] = {}
-    pieces_ids = [
-        np.array([index.setdefault(s.form, len(index)) for s in slices], dtype=np.intp)
-        for slices, _ in pieces
-    ]
+    masks = [np.asarray(slices, dtype=np.intp) for slices, _ in pieces]
+    distinct = np.unique(np.concatenate(masks))
+    # the space row of each mask, or the zero row past the vectors when out of
+    # vocabulary; UNK, which is no slice, lands on the spare last entry
     zero = space.size
-    row_of = {form: row for row, form in enumerate(space.forms)}
-    shifted_rows = np.array(
-        [[row_of.get(s.transpose(k).form, zero) for k in range(12)]
-         for s in map(Slice.from_form, index)],
-        dtype=np.intp,
-    ).reshape(-1, 12)
+    row_of = np.full(N_MASKS + 1, zero, dtype=np.intp)
+    row_of[[SLICE_OF_FORM.get(form, N_MASKS) for form in space.forms]] = np.arange(zero)
+    # row s of shifted_rows: distinct mask s rotated by 0..11 semitones, as space rows
+    k, m = np.arange(12), distinct[:, None]
+    shifted_rows = row_of[(m << k | m >> (12 - k)) & 0xFFF]
     # -0.0, not 0.0: x + -0.0 == x for every x, so a padded sum keeps its bits
     padded = np.vstack([space.vectors, np.full((1, space.dims), -0.0)])
     block = max(1, GATHER_FLOATS // (12 * space.dims))
     total = np.zeros((12, 12), dtype=np.float64)
     i, j = np.triu_indices(12, 1)
     used = 0
-    for idx, (ids, (_, piece_root)) in enumerate(zip(pieces_ids, pieces)):
+    for idx, (piece_masks, (_, piece_root)) in enumerate(zip(masks, pieces)):
+        ids = np.searchsorted(distinct, piece_masks)
         # column t: each distinct slice's row transposed onto roots[t]
         table = shifted_rows[:, (roots - piece_root) % 12]
         counts = np.bincount(ids, minlength=len(table)) @ (table != zero)
@@ -279,10 +263,3 @@ def analogy_angle_matrix(
             values[i, j] = angle
             values[j, i] = angle
     return SimilarityMatrix(CIRCLE_OF_FIFTHS, CIRCLE_OF_FIFTHS, values, "degrees")
-
-
-def circle_distance(root_a: int, root_b: int) -> int:
-    """Steps apart on the circle of fifths, 0..6."""
-    pos = {PC_OF_NAME[name]: i for i, name in enumerate(CIRCLE_OF_FIFTHS)}
-    delta = abs(pos[root_a % 12] - pos[root_b % 12])
-    return min(delta, 12 - delta)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import glob
 import hashlib
 import os
@@ -21,11 +20,11 @@ from .config import VALUE_PARSERS, ConfigError, PipelineConfig, resolve_config
 from .embedding import EmbeddingSpace, load_embedding, save_embedding
 from .midi import MidiParseError, parse_midi
 from .slicer import (
-    Slice,
     build_vocabulary,
     encode_corpus,
     load_corpus,
     load_vocabulary,
+    parse_forms,
     read_corpus_lines,
     save_corpus,
     save_vocabulary,
@@ -148,7 +147,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
     with _writing([cfg.corpus_cache, cfg.vocab_cache]):
         save_corpus(cfg.corpus_cache, pieces, [digest for _, digest, _ in parsed])
         save_vocabulary(cfg.vocab_cache, vocab)
-    unique = len({s.form for s in all_slices})
+    unique = len(set(all_slices))
     print(f"pieces: {len(pieces)}")
     print(f"unique slices: {unique}")
     print(f"occurrences folded into UNK: {vocab.count_of(vocab.unk_id)}")
@@ -262,10 +261,8 @@ def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) ->
     cached = {}
     if os.path.exists(cfg.corpus_cache):
         cached = {d: forms for d, forms in read_corpus_lines(cfg.corpus_cache) if d}
-    slice_of = functools.cache(Slice.from_form)
     labeled = [
-        (slices_from_piece(piece) if piece else [slice_of(f) for f in cached[digest].split()],
-         root_of[path])
+        (slices_from_piece(piece) if piece else parse_forms(cached[digest]), root_of[path])
         for path, digest, piece in _parse_midi_files(list(root_of), cached)
     ]
     if not labeled:

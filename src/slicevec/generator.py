@@ -166,9 +166,9 @@ def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice]) -> bytes:
         )
     tpb = piece.grid.ticks_per_beat
     originals = slices_from_piece(piece)
-    changed = [sub != orig for sub, orig in zip(substitutes, originals)]
+    changed = np.asarray(substitutes, dtype=np.intp) != np.asarray(originals, dtype=np.intp)
     # maximal runs of unchanged beats as tick intervals; beats from n_beats on are unchanged
-    step = np.diff(np.array([True] + changed + [False], dtype=np.int8))
+    step = np.diff(np.concatenate(([1], changed, [0])))
     starts = np.flatnonzero(step == -1) * tpb
     ends = np.append(np.flatnonzero(step == 1) * tpb, np.iinfo(np.int64).max)
     # note i overlaps runs first[i] .. first[i] + counts[i] - 1; one row per overlap
@@ -181,8 +181,7 @@ def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice]) -> bytes:
     rows[:, 2] = np.minimum(rows[:, 2], ends[run])
     rendered = [
         (RENDER_BASE_PITCH + pc, b * tpb, (b + 1) * tpb, 0)
-        for b in range(n_beats)
-        if changed[b]
+        for b in np.flatnonzero(changed).tolist()
         for pc in substitutes[b].pitch_classes
     ]
     rows = np.concatenate(

@@ -4,14 +4,15 @@ A slice is the set of pitch classes sounding during one beat; it plays the
 role a word plays in a text model. Slices have a canonical text form (pitch
 classes joined by "."), the empty slice is the rest "R", and slices below
 the vocabulary frequency cutoff fold into the catch-all token "UNK".
+A slice is its 12-bit mask (bit pc set when class pc sounds), one shared
+Slice per mask in SLICES, so a list of slices is already a mask array.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -20,56 +21,80 @@ from .midi import MidiPiece
 
 UNK_FORM = "UNK"
 REST_FORM = "R"
+N_MASKS = 1 << 12
 
 
-@dataclass(frozen=True)
-class Slice:
-    """An immutable set of pitch classes, stored strictly ascending."""
+class Slice(int):
+    """An immutable set of pitch classes; its int value is its mask."""
 
-    pitch_classes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pcs = self.pitch_classes
+    def __new__(cls, pitch_classes: Iterable[int]) -> "Slice":
+        pcs = tuple(pitch_classes)
         for pc in pcs:
             if not 0 <= pc <= 11:
                 raise ValueError(f"pitch class {pc} outside 0..11")
         if any(pcs[i] >= pcs[i + 1] for i in range(len(pcs) - 1)):
             raise ValueError(f"pitch classes {pcs} not strictly ascending")
+        return SLICES[sum(1 << pc for pc in pcs)]
 
-    @cached_property
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return (self.pitch_classes,)
+
+    @property
+    def pitch_classes(self) -> tuple[int, ...]:
+        return PITCH_CLASSES[self]
+
+    @property
     def form(self) -> str:
         """Canonical text form: "0.4.7" for a C major triad, "R" when empty."""
-        if not self.pitch_classes:
-            return REST_FORM
-        return ".".join(str(pc) for pc in self.pitch_classes)
+        return FORMS[self]
 
     @classmethod
     def from_form(cls, form: str) -> "Slice":
-        if form == REST_FORM:
-            return cls(())
+        """The slice of a canonical form; "07", "+4" or "4.0" is refused."""
         try:
-            pcs = tuple(int(part) for part in form.split("."))
-        except ValueError:
+            return SLICE_OF_FORM[form]
+        except KeyError:
             raise ValueError(f"bad slice form {form!r}") from None
-        return cls(pcs)
 
     def transpose(self, semitones: int) -> "Slice":
-        """The slice shifted by semitones: its 12-bit pitch-class mask rotated."""
-        mask, k = sum(1 << pc for pc in self.pitch_classes), semitones % 12
-        return _slice_of_mask((mask << k | mask >> (12 - k)) & 0xFFF)
+        """The slice shifted by semitones: its mask rotated."""
+        k = semitones % 12
+        return SLICES[(self << k | self >> (12 - k)) & 0xFFF]
 
     def __str__(self) -> str:
         return self.form
 
+    def __repr__(self) -> str:
+        return f"Slice(pitch_classes={self.pitch_classes})"
+
+
+def _mask_tables() -> tuple[tuple, tuple]:
+    """Each mask's pitch classes and form; masks 2**pc.. are masks 0.. with pc added on top."""
+    pcs, forms = [()], [REST_FORM]
+    for pc in range(12):
+        pcs += [p + (pc,) for p in pcs]
+        forms += [str(pc)] + [f"{f}.{pc}" for f in forms[1:]]
+    return tuple(pcs), tuple(forms)
+
+
+PITCH_CLASSES, FORMS = _mask_tables()
+SLICES = tuple(map(int.__new__, repeat(Slice, N_MASKS), range(N_MASKS)))
+SLICE_OF_FORM = dict(zip(FORMS, SLICES))
+
 
 def make_slice(pitches: Iterable[int]) -> Slice:
     """Collapse MIDI pitches to their octave-free pitch-class set."""
-    return Slice(tuple(sorted({p % 12 for p in pitches})))
+    return SLICES[sum({1 << p % 12 for p in pitches})]
 
 
-@cache  # at most 4096 masks: every piece shares one Slice per pitch-class set
-def _slice_of_mask(mask: int) -> Slice:
-    return Slice(tuple(pc for pc in range(12) if mask >> pc & 1))
+def parse_forms(line: str) -> list[Slice]:
+    """The slices of a line of space-separated canonical forms."""
+    try:
+        return [SLICE_OF_FORM[form] for form in line.split()]
+    except KeyError as exc:
+        raise ValueError(f"bad slice form {exc.args[0]!r}") from None
 
 
 def slices_from_piece(piece: MidiPiece) -> list[Slice]:
@@ -93,7 +118,7 @@ def slices_from_piece(piece: MidiPiece) -> list[Slice]:
     )
     sounding = np.cumsum(diff.reshape(12, width)[:, :n], axis=1) > 0
     masks = (1 << np.arange(12)) @ sounding
-    return [_slice_of_mask(m) for m in masks.tolist()]
+    return [SLICES[m] for m in masks.tolist()]
 
 
 class Vocabulary:
@@ -108,12 +133,12 @@ class Vocabulary:
         """ranked: (slice, count) pairs already in final id order (1, 2, ...)."""
         self._content: list[Slice] = []  # index i holds the slice for token i+1
         self._counts: list[int] = [unk_count]
-        self._ids: dict[Slice, int] = {}
+        self._id_of = np.zeros(N_MASKS, dtype=np.int32)  # token id per mask, 0 (UNK) when absent
         for s, count in ranked:
-            if s in self._ids:
+            if self._id_of[s]:
                 raise ValueError(f"duplicate slice {s.form} in vocabulary")
             self._content.append(s)
-            self._ids[s] = len(self._content)
+            self._id_of[s] = len(self._content)
             self._counts.append(count)
 
     @property
@@ -126,10 +151,10 @@ class Vocabulary:
 
     def token_of(self, s: Slice) -> int:
         """The slice's id, or unk_id when it is out of vocabulary."""
-        return self._ids.get(s, 0)
+        return int(self._id_of[s])
 
     def __contains__(self, s: Slice) -> bool:
-        return s in self._ids
+        return bool(self._id_of[s])
 
     def slice_of(self, token: int) -> Slice:
         """The slice for a content token id. UNK has no slice."""
@@ -174,12 +199,13 @@ def build_vocabulary(slices: Iterable[Slice], max_size: int) -> Vocabulary:
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2 (one content token plus UNK)")
-    counts = Counter(slices)
-    if not counts:
+    counts = np.bincount(np.fromiter(slices, np.intp), minlength=N_MASKS).tolist()
+    present = [m for m in range(N_MASKS) if counts[m]]
+    ranked = sorted(present, key=lambda m: (-counts[m], FORMS[m]))
+    if not ranked:
         raise ValueError("cannot build a vocabulary from an empty slice stream")
-    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0].form))
-    kept = ranked[: max_size - 1]
-    unk_count = sum(count for _, count in ranked[max_size - 1 :])
+    kept = [(SLICES[m], counts[m]) for m in ranked[: max_size - 1]]
+    unk_count = sum(counts[m] for m in ranked[max_size - 1 :])
     return Vocabulary(kept, unk_count)
 
 
@@ -201,10 +227,8 @@ class EncodedCorpus:
 
 
 def encode_corpus(pieces: Iterable[Sequence[Slice]], vocab: Vocabulary) -> EncodedCorpus:
-    """Replace each slice by its token id (or unk_id), keeping lengths."""
-    return EncodedCorpus.from_ids(
-        [[vocab.token_of(s) for s in piece] for piece in pieces]
-    )
+    """Replace each slice by its token id (or unk_id), keeping lengths: one gather per piece."""
+    return EncodedCorpus.from_ids([vocab._id_of[np.asarray(p, dtype=np.intp)] for p in pieces])
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +250,7 @@ def save_corpus(path: str, pieces: Sequence[Sequence[Slice]], digests: Sequence[
     lines = [f"{CORPUS_MAGIC} {CORPUS_VERSION if digests else FORMAT_VERSION} {len(pieces)}"]
     for i, piece in enumerate(pieces):
         lead = [digests[i]] if digests else []
-        lines.append(" ".join(lead + [s.form for s in piece]))
+        lines.append(" ".join(lead + [FORMS[s] for s in piece]))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -283,8 +307,7 @@ def read_corpus_lines(path: str) -> Iterator[tuple[str | None, str]]:
 
 def load_corpus(path: str) -> list[list[Slice]]:
     """The cached pieces; every occurrence of a form is the same Slice."""
-    slice_of = cache(Slice.from_form)
-    return [[slice_of(form) for form in forms.split()] for _, forms in read_corpus_lines(path)]
+    return [parse_forms(forms) for _, forms in read_corpus_lines(path)]
 
 
 def save_vocabulary(path: str, vocab: Vocabulary) -> None:

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from analysis_oracle import circle_distance
 
 from slicevec.analysis import (
     CIRCLE_OF_FIFTHS,
@@ -23,7 +24,6 @@ from slicevec.analysis import (
     ChordSpec,
     analogy_angle_matrix,
     chord_distance_profile,
-    circle_distance,
     key_similarity_matrix,
 )
 from slicevec.embedding import (

@@ -1,5 +1,5 @@
 """The three cache loaders refuse every truncated or extended copy of a saved file,
-the corpus cache in both its formats."""
+the corpus cache in both its formats, and a form that is not canonical."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from slicevec.cli import main
 from slicevec.embedding import EmbeddingSpace, load_embedding, save_embedding
 from slicevec.slicer import (
     Slice,
@@ -85,3 +86,34 @@ def test_loader_refuses_every_appended_line(tmp_path, name):
         with pytest.raises(ValueError):
             load(path)
             pytest.fail(f"{name} loaded with {extra!r} appended")
+
+
+
+# the default path of each cache, and a command that loads it
+_LOADED_BY = {
+    "corpus": ("corpus.txt", ["stats"]),
+    "corpus_v2": ("corpus.txt", ["stats"]),
+    "vocab": ("vocab.txt", ["stats"]),
+    "embedding": ("embedding.txt", ["analyze", "chords"]),
+}
+
+
+@pytest.mark.parametrize("spelling", ["0.5.09", "0.05.9", "+0.5.9", "0.5.0_9"])
+@pytest.mark.parametrize("name", sorted(CACHES))
+def test_a_noncanonical_form_exits_2_in_one_line(tmp_path, monkeypatch, capsys, name, spelling):
+    """int() reads each spelling as 0.5.9, but only the canonical form names a slice."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
+    _save_corpus("corpus.txt")
+    _save_vocab("vocab.txt")
+    save, load, _ = CACHES[name]
+    path, command = _LOADED_BY[name]
+    save(path)
+    lines = [line.split(" ") for line in open(path).read().split("\n")]
+    assert sum(line.count("0.5.9") for line in lines) == 1
+    with open(path, "w") as fh:
+        fh.write("\n".join(" ".join(spelling if t == "0.5.9" else t for t in line) for line in lines))
+    with pytest.raises(ValueError, match="bad slice form"):
+        load(path)
+    assert main(command) == 2
+    assert capsys.readouterr().err == f"data error: bad slice form {spelling!r}\n"

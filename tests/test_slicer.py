@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import pickle
 import random
 from collections import Counter
 
@@ -12,6 +14,7 @@ from midi_oracle import note_array, sounding_pitches
 
 from slicevec.midi import BeatGrid, MidiPiece, NoteEvent
 from slicevec.slicer import (
+    SLICES,
     EncodedCorpus,
     Slice,
     Vocabulary,
@@ -65,6 +68,37 @@ def test_from_form_rejects_garbage():
         Slice.from_form("0..4")
     with pytest.raises(ValueError):
         Slice.from_form("7.4")  # not ascending
+    # int() reads each of these, but none is a canonical form
+    for form in ("07", "+4", " 4", "4 ", "1_0", "0.4.07", "0.4.+7", "R.0", "UNK", ""):
+        with pytest.raises(ValueError):
+            Slice.from_form(form)
+            pytest.fail(f"{form!r} was read as a slice")
+
+
+def test_every_mask_is_one_shared_slice():
+    for mask in range(1 << 12):
+        pcs = tuple(pc for pc in range(12) if mask >> pc & 1)
+        s = SLICES[mask]
+        assert type(s) is Slice and int(s) == mask
+        assert s.pitch_classes == pcs
+        assert s.form == str(s) == (".".join(str(pc) for pc in pcs) if pcs else "R")
+        assert Slice.from_form(s.form) is s
+        assert Slice(pcs) is s
+        assert s == mask and hash(s) == hash(mask)
+        for k in range(-13, 14):
+            assert s.transpose(k).pitch_classes == tuple(sorted((pc + k) % 12 for pc in pcs))
+
+
+def test_copy_and_pickle_give_back_the_slice():
+    for s in (Slice(()), Slice((0, 4, 7)), Slice(tuple(range(12)))):
+        assert copy.copy(s) is s
+        assert copy.deepcopy(s) is s
+        assert copy.deepcopy([s, s]) == [s, s]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(s, protocol))
+            assert type(twin) is Slice and twin == s and twin.form == s.form
+            if protocol >= 2:  # protocols 0 and 1 rebuild an equal int, not through __new__
+                assert twin is s
 
 
 def test_transpose_group_properties():
