@@ -29,6 +29,7 @@ from .slicer import (
     save_corpus,
     save_vocabulary,
     slices_from_piece,
+    write_lines,
 )
 from .trainer import NumericalAbortError, train
 
@@ -237,8 +238,7 @@ def _analyze_chords(args, space: EmbeddingSpace, out: str) -> int:
             else:
                 cells.append(f"{value:.6g}")
         lines.append(name + "," + ",".join(cells))
-    with open(out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(out, lines)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -262,7 +262,10 @@ def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) ->
     if os.path.exists(cfg.corpus_cache):
         cached = {d: forms for d, forms in read_corpus_lines(cfg.corpus_cache) if d}
     labeled = [
-        (slices_from_piece(piece) if piece else parse_forms(cached[digest]), root_of[path])
+        (
+            slices_from_piece(piece) if piece else parse_forms(cached[digest], cfg.corpus_cache),
+            root_of[path],
+        )
         for path, digest, piece in _parse_midi_files(list(root_of), cached)
     ]
     if not labeled:

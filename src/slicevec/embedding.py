@@ -14,14 +14,11 @@ round-trip decimal form, one token per line:
 from __future__ import annotations
 
 import math
-import os
 from typing import Sequence
 
 import numpy as np
 
-from .slicer import (
-    UNK_FORM, Slice, Vocabulary, check_cache_end, read_cache_header, read_cache_line,
-)
+from .slicer import UNK_FORM, Slice, Vocabulary, read_cache, write_lines
 from .trainer import EmbeddingMatrix
 
 EMBEDDING_MAGIC = "SLICEVEC"
@@ -155,24 +152,19 @@ def save_embedding(path: str, space: EmbeddingSpace) -> None:
     for token in range(space.size):
         values = " ".join(repr(float(v)) for v in space.vector(token))
         lines.append(f"{space.form_of(token)} {values}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_embedding(path: str) -> EmbeddingSpace:
-    with open(path, "r", encoding="ascii") as fh:
-        _, (size, dims) = read_cache_header(fh, path, EMBEDDING_MAGIC, (FORMAT_VERSION,), 2)
-        # every value on a vector line takes at least 2 bytes (itself and a
-        # separator), so a header counting more cannot be this file's
-        if 2 * size * (dims + 1) > os.fstat(fh.fileno()).st_size:
-            raise ValueError(f"{path}: header counts {size} x {dims} exceed the file's size")
-        forms = []
-        vectors = np.empty((size, dims), dtype=np.float64)
-        for i in range(size):
-            parts = read_cache_line(fh, path).split()
-            if len(parts) != dims + 1:
-                raise ValueError(f"{path}: bad vector line for token {i}")
-            forms.append(parts[0])
-            vectors[i] = [float(v) for v in parts[1:]]
-        check_cache_end(fh, path, size)
-    return EmbeddingSpace(forms, vectors)
+    _, (size, dims), lines = read_cache(path, EMBEDDING_MAGIC, (FORMAT_VERSION,), 2)
+    forms, rows = [], []
+    for i, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) != dims + 1:
+            raise ValueError(f"{path}: bad vector line for token {i}")
+        forms.append(parts[0])
+        rows.append(np.fromiter(map(float, parts[1:]), np.float64, dims))
+    try:
+        return EmbeddingSpace(forms, np.reshape(rows, (size, dims)))
+    except ValueError as exc:  # a bad or duplicate form, a non-finite value
+        raise ValueError(f"{path}: {exc}") from None

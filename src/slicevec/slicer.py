@@ -89,12 +89,12 @@ def make_slice(pitches: Iterable[int]) -> Slice:
     return SLICES[sum({1 << p % 12 for p in pitches})]
 
 
-def parse_forms(line: str) -> list[Slice]:
-    """The slices of a line of space-separated canonical forms."""
+def parse_forms(line: str, path: str) -> list[Slice]:
+    """The slices of a line of space-separated canonical forms read from path."""
     try:
         return [SLICE_OF_FORM[form] for form in line.split()]
     except KeyError as exc:
-        raise ValueError(f"bad slice form {exc.args[0]!r}") from None
+        raise ValueError(f"{path}: bad slice form {exc.args[0]!r}") from None
 
 
 def slices_from_piece(piece: MidiPiece) -> list[Slice]:
@@ -152,9 +152,6 @@ class Vocabulary:
     def token_of(self, s: Slice) -> int:
         """The slice's id, or unk_id when it is out of vocabulary."""
         return int(self._id_of[s])
-
-    def __contains__(self, s: Slice) -> bool:
-        return bool(self._id_of[s])
 
     def slice_of(self, token: int) -> Slice:
         """The slice for a content token id. UNK has no slice."""
@@ -241,6 +238,39 @@ CORPUS_VERSION = "v2"  # each piece line leads with the sha256 of its file's byt
 _DIGEST = re.compile("[0-9a-f]{64}")
 
 
+def read_cache(path: str, magic: str, versions, n_counts: int) -> tuple[str, list[int], list[str]]:
+    """A "<magic> <version> <count>..." cache, read whole: its version (one of versions),
+    its counts, and the lines the first count counts, each without its newline.
+
+    A last line cut before its newline, a short file and any content after
+    the counted lines are refused.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        *lines, tail = fh.read().split("\n")
+    if tail:
+        raise ValueError(f"{path}: last line cut before its newline")
+    header = lines[0].split() if lines else []
+    if len(header) != 2 + n_counts or header[0] != magic:
+        raise ValueError(f"{path}: not a {magic} file")
+    if header[1] not in versions:
+        raise ValueError(f"{path}: unsupported version {header[1]}")
+    counts = [int(c) for c in header[2:]]
+    if min(counts) < 0:
+        raise ValueError(f"{path}: negative count in header")
+    n_lines, found = counts[0], len(lines) - 1
+    if found < n_lines:
+        raise ValueError(f"{path}: file ends after {found} of its {n_lines} counted lines")
+    if found > n_lines:
+        raise ValueError(f"{path}: content after the {n_lines} counted lines")
+    return header[1], counts, lines[1:]
+
+
+def write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write lines as ASCII text, each followed by a newline."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write("".join(f"{line}\n" for line in lines))
+
+
 def save_corpus(path: str, pieces: Sequence[Sequence[Slice]], digests: Sequence[str] = ()) -> None:
     """Text cache: header line, then one line of slice forms per piece.
 
@@ -251,63 +281,26 @@ def save_corpus(path: str, pieces: Sequence[Sequence[Slice]], digests: Sequence[
     for i, piece in enumerate(pieces):
         lead = [digests[i]] if digests else []
         lines.append(" ".join(lead + [FORMS[s] for s in piece]))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
-def read_cache_line(fh, path: str) -> str:
-    """The next line of a cache file, "" at its end; a line cut before its newline is refused."""
-    line = fh.readline()
-    if line and not line.endswith("\n"):
-        raise ValueError(f"{path}: last line cut before its newline")
-    return line
-
-
-def read_cache_header(fh, path: str, magic: str, versions, n_counts: int) -> tuple[str, list[int]]:
-    """The version (one of versions) and counts on a "<magic> <version> <count>..." header line."""
-    header = read_cache_line(fh, path).split()
-    if len(header) != 2 + n_counts or header[0] != magic:
-        raise ValueError(f"{path}: not a {magic} file")
-    if header[1] not in versions:
-        raise ValueError(f"{path}: unsupported version {header[1]}")
-    counts = [int(c) for c in header[2:]]
-    if min(counts) < 0:
-        raise ValueError(f"{path}: negative count in header")
-    return header[1], counts
-
-
-def check_cache_end(fh, path: str, n_lines: int) -> None:
-    """Refuse anything after a cache file's n_lines counted lines."""
-    if fh.readline():
-        raise ValueError(f"{path}: content after the {n_lines} counted lines")
-
-
-def read_corpus_lines(path: str) -> Iterator[tuple[str | None, str]]:
-    """(file digest, slice forms as one string) per cached piece, read lazily.
-
-    The digest is None in a v1 cache. Refusals are raised as the lines are
-    reached, so a caller checks the whole file by reading it to the end.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        versions = (FORMAT_VERSION, CORPUS_VERSION)
-        version, (n_pieces,) = read_cache_header(fh, path, CORPUS_MAGIC, versions, 1)
-        for i in range(n_pieces):
-            line = read_cache_line(fh, path)
-            if not line:
-                raise ValueError(f"{path}: expected {n_pieces} pieces, found {i}")
-            if version == FORMAT_VERSION:
-                yield None, line
-                continue
-            digest, _, forms = line.rstrip("\n").partition(" ")
-            if not _DIGEST.fullmatch(digest):
-                raise ValueError(f"{path}: piece {i} does not lead with a sha256 digest")
-            yield digest, forms
-        check_cache_end(fh, path, n_pieces)
+def read_corpus_lines(path: str) -> list[tuple[str | None, str]]:
+    """(file digest, slice forms as one string) per cached piece; None for a v1 cache's digest."""
+    version, _, lines = read_cache(path, CORPUS_MAGIC, (FORMAT_VERSION, CORPUS_VERSION), 1)
+    if version == FORMAT_VERSION:
+        return [(None, line) for line in lines]
+    pieces = []
+    for i, line in enumerate(lines):
+        digest, _, forms = line.partition(" ")
+        if not _DIGEST.fullmatch(digest):
+            raise ValueError(f"{path}: piece {i} does not lead with a sha256 digest")
+        pieces.append((digest, forms))
+    return pieces
 
 
 def load_corpus(path: str) -> list[list[Slice]]:
     """The cached pieces; every occurrence of a form is the same Slice."""
-    return [parse_forms(forms) for _, forms in read_corpus_lines(path)]
+    return [parse_forms(forms, path) for _, forms in read_corpus_lines(path)]
 
 
 def save_vocabulary(path: str, vocab: Vocabulary) -> None:
@@ -315,31 +308,28 @@ def save_vocabulary(path: str, vocab: Vocabulary) -> None:
     lines = [f"{VOCAB_MAGIC} {FORMAT_VERSION} {vocab.size}"]
     for token, form, count in vocab.items():
         lines.append(f"{token} {form} {count}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(path, lines)
 
 
 def load_vocabulary(path: str) -> Vocabulary:
-    with open(path, "r", encoding="ascii") as fh:
-        _, (size,) = read_cache_header(fh, path, VOCAB_MAGIC, (FORMAT_VERSION,), 1)
-        ranked: list[tuple[Slice, int]] = []
-        unk_count = None
-        for expected in range(size):
-            parts = read_cache_line(fh, path).split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: bad vocabulary line for id {expected}")
-            token, form, count = int(parts[0]), parts[1], int(parts[2])
-            if token != expected:
-                raise ValueError(f"{path}: ids not contiguous at {token}")
-            if count < 0:
-                raise ValueError(f"{path}: negative count for id {token}")
-            if token == 0:
-                if form != UNK_FORM:
-                    raise ValueError(f"{path}: token 0 must be {UNK_FORM}, got {form}")
-                unk_count = count
-            else:
-                ranked.append((Slice.from_form(form), count))
-        check_cache_end(fh, path, size)
+    _, _, lines = read_cache(path, VOCAB_MAGIC, (FORMAT_VERSION,), 1)
+    ranked: list[tuple[Slice, int]] = []
+    unk_count = None
+    for expected, line in enumerate(lines):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"{path}: bad vocabulary line for id {expected}")
+        token, form, count = int(parts[0]), parts[1], int(parts[2])
+        if token != expected:
+            raise ValueError(f"{path}: ids not contiguous at {token}")
+        if count < 0:
+            raise ValueError(f"{path}: negative count for id {token}")
+        if token == 0:
+            if form != UNK_FORM:
+                raise ValueError(f"{path}: token 0 must be {UNK_FORM}, got {form}")
+            unk_count = count
+        else:
+            ranked.append((parse_forms(form, path)[0], count))
     if unk_count is None:
         raise ValueError(f"{path}: vocabulary has no {UNK_FORM} entry")
     return Vocabulary(ranked, unk_count)

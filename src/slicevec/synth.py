@@ -166,10 +166,6 @@ def generate_piece(
     return beats
 
 
-# 12-bit pitch-class mask -> which of the 12 pitch classes it holds
-_PC_BITS = np.arange(1 << 12, dtype=np.uint16)[:, None] & 1 << np.arange(12, dtype=np.uint16) != 0
-
-
 def piece_notes(beats: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, BeatGrid]:
     """Render per-beat pitch-class tuples (0..11) as octave-4 note rows, merging holds.
 
@@ -182,7 +178,7 @@ def piece_notes(beats: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, BeatGrid]
     masks = np.array([sum(1 << pc for pc in set(beat)) for beat in ids], dtype=np.int64)
     starts = np.flatnonzero(np.diff(beat_ids, prepend=-1))  # where the tuple changes
     ends = np.append(starts[1:], len(beat_ids))
-    run, pc = np.nonzero(_PC_BITS[masks[beat_ids[starts]]])
+    run, pc = np.nonzero((masks[beat_ids[starts]][:, None] >> np.arange(12)) & 1)
     notes = np.stack((BASE_PITCH + pc, starts[run], ends[run], 0 * pc), axis=1)
     return notes * [1, TICKS_PER_BEAT, TICKS_PER_BEAT, 1], BeatGrid(TICKS_PER_BEAT, len(beats))
 

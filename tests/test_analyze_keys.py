@@ -155,6 +155,18 @@ def test_corrupt_corpus_cache_exits_2_in_one_line(run_dir, capsys, corpus, comma
     assert err.startswith("data error: corpus.txt: ") and err.count("\n") == 1, err
 
 
+def test_a_noncanonical_cached_form_names_the_cache(run_dir, capsys):
+    """The first piece is A major: analyze keys reads its slices from its cached line."""
+    header, first, *rest = open(run_dir / "corpus.txt").read().split("\n")
+    digest, form, *forms = first.split(" ")
+    with open("corpus.txt", "w") as fh:
+        fh.write("\n".join([header, " ".join([digest, "0" + form, *forms]), *rest]))
+    argv = ["analyze", "keys", "--pieces-dir", f"{run_dir}/midi", "--mode", "major",
+            "--vocab-cache", f"{run_dir}/vocab.txt", "--embedding-path", f"{run_dir}/embedding.txt"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"data error: corpus.txt: bad slice form {'0' + form!r}\n"
+
+
 @pytest.mark.parametrize("block", [None, 5])
 def test_blocked_key_matrix_equals_per_transposition_reference(monkeypatch, block):
     dims = 64

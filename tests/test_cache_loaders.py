@@ -69,9 +69,10 @@ def test_loader_refuses_every_strict_prefix(tmp_path, name):
     for cut in range(len(whole)):
         with open(path, "wb") as fh:
             fh.write(whole[:cut])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             load(path)
             pytest.fail(f"{name} loaded the first {cut} of {len(whole)} bytes: {whole[:cut]!r}")
+        assert str(refused.value).startswith(f"{path}: "), refused.value
 
 
 @pytest.mark.parametrize("name", sorted(CACHES))
@@ -83,10 +84,10 @@ def test_loader_refuses_every_appended_line(tmp_path, name):
     for extra in ("\n", "x", "x\n", row, row + "\n"):
         with open(path, "wb") as fh:
             fh.write(whole + extra.encode("ascii"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as refused:
             load(path)
             pytest.fail(f"{name} loaded with {extra!r} appended")
-
+        assert str(refused.value).startswith(f"{path}: "), refused.value
 
 
 # the default path of each cache, and a command that loads it
@@ -116,4 +117,48 @@ def test_a_noncanonical_form_exits_2_in_one_line(tmp_path, monkeypatch, capsys, 
     with pytest.raises(ValueError, match="bad slice form"):
         load(path)
     assert main(command) == 2
-    assert capsys.readouterr().err == f"data error: bad slice form {spelling!r}\n"
+    assert capsys.readouterr().err == f"data error: {path}: bad slice form {spelling!r}\n"
+
+
+def test_a_header_counting_more_values_than_memory_holds_exits_2(tmp_path, monkeypatch, capsys):
+    """Nothing is allocated from the header's counts: the row's field count refuses it."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
+    with open("embedding.txt", "w") as fh:
+        fh.write("SLICEVEC v1 1 10000000000\nUNK 1.0\n")
+    assert main(["analyze", "chords"]) == 2
+    assert capsys.readouterr().err == "data error: embedding.txt: bad vector line for token 0\n"
+
+
+_EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
+
+
+# edge cases of each writer: (save, load, the exact bytes written)
+WRITTEN = {
+    "no-pieces": (lambda path: save_corpus(path, []), load_corpus, b"SLICECORPUS v1 0\n"),
+    "empty-piece-v1": (lambda path: save_corpus(path, [[]]), load_corpus, b"SLICECORPUS v1 1\n\n"),
+    "empty-piece-v2": (
+        lambda path: save_corpus(path, [[], [Slice((0, 4, 7))]], [_EMPTY_DIGEST] * 2),
+        load_corpus,
+        f"SLICECORPUS v2 2\n{_EMPTY_DIGEST}\n{_EMPTY_DIGEST} 0.4.7\n".encode("ascii"),
+    ),
+    "unk-only-vocab": (
+        lambda path: save_vocabulary(path, Vocabulary([], unk_count=5)),
+        load_vocabulary,
+        b"SLICEVOCAB v1 1\n0 UNK 5\n",
+    ),
+    "one-row-embedding": (
+        lambda path: save_embedding(path, EmbeddingSpace(["UNK"], np.array([[0.5, -1.25, 1e-07]]))),
+        load_embedding,
+        b"SLICEVEC v1 1 3\nUNK 0.5 -1.25 1e-07\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITTEN))
+def test_writer_edge_case_bytes(tmp_path, case):
+    save, load, expected = WRITTEN[case]
+    path = str(tmp_path / "cache.txt")
+    save(path)
+    assert open(path, "rb").read() == expected
+    load(path)  # and the loader takes it back

@@ -295,7 +295,7 @@ def test_load_rejects_trailing_line_and_negative_counts(tmp_path):
 def test_load_refuses_header_counts_the_file_cannot_hold(tmp_path):
     path = tmp_path / "huge.txt"
     path.write_text("SLICEVEC v1 10000000 10000000\nUNK 1.0\n")
-    with pytest.raises(ValueError, match="exceed the file's size"):
+    with pytest.raises(ValueError, match="file ends after 1 of its 10000000 counted lines"):
         load_embedding(str(path))
     # one-byte values: the smallest file a header allows
     path.write_text("SLICEVEC v1 2 1\nUNK 1\n0 2\n")

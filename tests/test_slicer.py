@@ -301,7 +301,7 @@ def test_corpus_cache_rejects_malformed(tmp_path):
     with pytest.raises(ValueError, match="version"):
         load_corpus(str(path))
     path.write_text("SLICECORPUS v1 2\n0.4.7\n")
-    with pytest.raises(ValueError, match="expected 2 pieces"):
+    with pytest.raises(ValueError, match="file ends after 1 of its 2 counted lines"):
         load_corpus(str(path))
 
 
