@@ -8,7 +8,6 @@ circle-of-fifths label order and serialize to labeled CSV.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .embedding import EmbeddingSpace, cosine_distance, pair_vector_angle
-from .slicer import N_MASKS, SLICE_OF_FORM, Slice
+from .slicer import N_MASKS, SLICE_OF_FORM, Slice, write_lines
 
 # the most floats key_similarity_matrix gathers at once (8 MB of float64)
 GATHER_FLOATS = 1 << 20
@@ -121,42 +120,12 @@ class SimilarityMatrix:
             raise ValueError("matrix shape does not match label counts")
 
     def save_csv(self, path: str) -> None:
-        """Labeled CSV with 6-significant-digit values.
-
-        Angle matrices carry a leading "# units: degrees" comment line.
-        Reloading and re-saving reproduces the file byte-for-byte.
-        """
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            if self.units == "degrees":
-                fh.write("# units: degrees\r\n")
-            writer = csv.writer(fh)
-            writer.writerow([""] + list(self.col_labels))
-            for label, row in zip(self.row_labels, self.values):
-                writer.writerow([label] + [_format_value(v) for v in row])
-
-    @classmethod
-    def load_csv(cls, path: str) -> "SimilarityMatrix":
-        units = "distance"
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            first = fh.readline()
-            if first.startswith("#"):
-                if "units:" in first:
-                    units = first.split("units:")[1].strip()
-            else:
-                fh.seek(0)
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "":
-                raise ValueError(f"{path}: not a labeled matrix CSV")
-            col_labels = tuple(header[1:])
-            row_labels = []
-            rows = []
-            for line in reader:
-                if not line:
-                    continue
-                row_labels.append(line[0])
-                rows.append([float(v) if v else math.nan for v in line[1:]])
-        return cls(tuple(row_labels), col_labels, np.array(rows), units)
+        """Labeled CSV, 6 significant digits; angle matrices lead with "# units: degrees"."""
+        lines = ["# units: degrees"] if self.units == "degrees" else []
+        lines.append(",".join(["", *self.col_labels]))
+        for label, row in zip(self.row_labels, self.values):
+            lines.append(",".join([label] + [_format_value(v) for v in row]))
+        write_lines(path, lines, "\r\n")
 
 
 def _format_value(v: float) -> str:

@@ -1,7 +1,7 @@
 """Command-line pipeline: ingest, synth, train, analyze, generate, stats.
 
 Exit codes: 0 success, 1 usage or config error, 2 data error (unreadable or
-malformed inputs), 3 numerical abort during training.
+malformed inputs), 3 numerical abort during training, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+EXIT_MEMORY = 4
 
 
 class DataError(ValueError):
@@ -358,6 +359,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # malformed inputs, unwritable outputs
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as exc:  # a setting that asks for more memory than there is
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -163,7 +163,10 @@ def load_embedding(path: str) -> EmbeddingSpace:
         if len(parts) != dims + 1:
             raise ValueError(f"{path}: bad vector line for token {i}")
         forms.append(parts[0])
-        rows.append(np.fromiter(map(float, parts[1:]), np.float64, dims))
+        try:
+            rows.append(np.fromiter(map(float, parts[1:]), np.float64, dims))
+        except ValueError:
+            raise ValueError(f"{path}: bad vector line for token {i}") from None
     try:
         return EmbeddingSpace(forms, np.reshape(rows, (size, dims)))
     except ValueError as exc:  # a bad or duplicate form, a non-finite value

@@ -10,7 +10,6 @@ through unchanged.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from .embedding import EmbeddingSpace, nearest
 from .midi import MidiPiece, write_smf
-from .slicer import REST_FORM, Slice, slices_from_piece
+from .slicer import REST_FORM, Slice, slices_from_piece, write_lines
 
 RENDER_BASE_PITCH = 60  # substituted beats render in octave 4
 RENDER_VELOCITY = 80
@@ -143,12 +142,11 @@ def rewrite_piece(
 
 
 def save_diagnostics(path: str, diagnostics: Sequence[BeatDiagnostic]) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beat", "original", "substitute", "cosine_distance", "top_n"])
-        for d in diagnostics:
-            dist = "" if d.cosine_distance is None else repr(d.cosine_distance)
-            writer.writerow([d.beat, d.original, d.substitute, dist, d.top_n])
+    lines = ["beat,original,substitute,cosine_distance,top_n"]
+    for d in diagnostics:
+        dist = "" if d.cosine_distance is None else repr(d.cosine_distance)
+        lines.append(f"{d.beat},{d.original},{d.substitute},{dist},{d.top_n}")
+    write_lines(path, lines, "\r\n")
 
 
 def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice]) -> bytes:

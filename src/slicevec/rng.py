@@ -10,8 +10,8 @@ one-value walk.
 xorshift64* updates its state by a linear map over GF(2) (Marsaglia 2003,
 "Xorshift RNGs"; Vigna 2016, arXiv:1402.6246), so the state k steps ahead is
 a 64x64 bit matrix applied to the state. The block methods use that to start
-up to 256 lanes a fixed spacing apart and then step all of them at once on
-uint64.
+256 lanes 64 steps apart and then step all of them at once on uint64: every
+refill is one or more whole blocks of 16,384 values.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ STAR_MULT = 0x2545F4914F6CDD1D
 _INV53 = 2.0 ** -53
 
 MAX_LANES = 256
-MAX_SPACING = 64  # steps between lanes; a block holds at most 16k values
-_SMALL = 64  # fills below this many values are stepped in Python
+MAX_SPACING = 64  # steps between lanes
+_BLOCK = MAX_LANES * MAX_SPACING  # values per refill block
 _U12, _U25, _U27, _U11 = (np.uint64(k) for k in (12, 25, 27, 11))
 _STAR = np.uint64(STAR_MULT)
 _BITS = np.arange(64, dtype=np.uint64)
@@ -61,18 +61,16 @@ class Rng:
     state is always the state after the last value consumed (read it; start
     a stream elsewhere with from_state). The block methods buffer values
     ahead of it, to look at (peek) before consuming (skip); a scalar draw
-    drops the buffer, and the next block resumes from state. Each refill
-    doubles the last, up to MAX_LANES * MAX_SPACING values, so short uses
-    stay cheap and long ones amortize the lane start-up.
+    drops the buffer, and the next block resumes from state. A refill appends
+    whole 16,384-value blocks, so even a fresh stream's first draw builds one.
     """
 
-    __slots__ = ("state", "_raw", "_pos", "_fill")
+    __slots__ = ("state", "_raw", "_pos")
 
     def __init__(self, seed: int):
         self.state = seed_to_state(seed)
         self._raw = _EMPTY  # buffered states; outputs are these times STAR_MULT
         self._pos = 0  # states consumed from _raw
-        self._fill = 0  # values made by the last refill
 
     @classmethod
     def from_state(cls, state: int) -> "Rng":
@@ -101,12 +99,13 @@ class Rng:
         have = len(self._raw) - self._pos
         if have >= n:
             return
-        tail = self._raw[self._pos :]
-        last = int(tail[-1]) if have else self.state
-        self._fill = max(n - have, min(MAX_LANES * MAX_SPACING, 2 * self._fill))
-        fresh = _states_after(last, self._fill)
-        self._raw = np.concatenate([tail, fresh]) if have else fresh
-        self._pos = 0
+        parts = [self._raw[self._pos :]]
+        last = int(parts[0][-1]) if have else self.state
+        while have < n:
+            parts.append(_lane_block(last))
+            last = int(parts[-1][-1])
+            have += _BLOCK
+        self._raw, self._pos = np.concatenate(parts), 0
 
     def peek(self, n: int) -> np.ndarray:
         """The next n u64 outputs, not consumed."""
@@ -150,32 +149,29 @@ def _jump(cols: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 @cache
 def _jump_table() -> tuple[np.ndarray, ...]:
-    """Columns of the matrices that advance the state 2**k steps, k = 0..15.
+    """Columns of the matrices that advance the state 64 * 2**k steps, k = 0..7:
+    the jumps that double a block's lanes from 1 to MAX_LANES.
 
     Built on first use, never at import.
     """
     table = [np.array([_step(1 << b) for b in range(64)], dtype=np.uint64)]
-    while len(table) < 16:
+    while len(table) < 14:
         table.append(_jump(table[-1], table[-1]))  # square: J^2 e_b = J (J e_b)
-    return tuple(table)
+    return tuple(table[6:])  # J^MAX_SPACING .. J^(_BLOCK / 2)
 
 
-def _lane_block(start: int, lanes: int, spacing: int) -> np.ndarray:
-    """The lanes * spacing states that follow start, in stream order.
+def _lane_block(start: int) -> np.ndarray:
+    """The _BLOCK states that follow start, in stream order.
 
-    lanes and spacing are powers of two. Lane k starts k * spacing steps
-    after start; row t of the work array holds every lane after t + 1 steps.
-    Each step costs six numpy calls whatever the lane count, so wide blocks
-    are cheap per value.
+    Lane k starts k * MAX_SPACING steps after start; row t of the work array
+    holds every lane after t + 1 steps. Each step costs six numpy calls on
+    all MAX_LANES lanes at once.
     """
-    table = _jump_table()
-    k = spacing.bit_length() - 1
     x = np.array([start], dtype=np.uint64)
-    while len(x) < lanes:
-        x = np.concatenate([x, _jump(table[k], x)])
-        k += 1
-    block = np.empty((spacing, lanes), dtype=np.uint64)
-    tmp = np.empty(lanes, dtype=np.uint64)
+    for cols in _jump_table():
+        x = np.concatenate([x, _jump(cols, x)])
+    block = np.empty((MAX_SPACING, MAX_LANES), dtype=np.uint64)
+    tmp = np.empty(MAX_LANES, dtype=np.uint64)
     for row in block:
         np.right_shift(x, _U12, row)
         np.bitwise_xor(row, x, row)
@@ -185,25 +181,6 @@ def _lane_block(start: int, lanes: int, spacing: int) -> np.ndarray:
         np.bitwise_xor(row, tmp, row)
         x = row
     return block.T.reshape(-1)
-
-
-def _states_after(start: int, n: int) -> np.ndarray:
-    """At least n states that follow start, in stream order."""
-    if n < _SMALL:
-        out = []
-        x = start
-        for _ in range(n):
-            x = _step(x)
-            out.append(x)
-        return np.array(out, dtype=np.uint64)
-    parts = []
-    while n > 0:
-        lanes = min(MAX_LANES, 1 << ((n.bit_length() + 1) // 2 + 2))  # about 4 sqrt(n)
-        spacing = min(MAX_SPACING, 1 << ((n - 1) // lanes).bit_length())
-        parts.append(_lane_block(start, lanes, spacing))
-        start = int(parts[-1][-1])
-        n -= len(parts[-1])
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def to_floats(u64: np.ndarray) -> np.ndarray:

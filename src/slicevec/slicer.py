@@ -245,8 +245,11 @@ def read_cache(path: str, magic: str, versions, n_counts: int) -> tuple[str, lis
     A last line cut before its newline, a short file and any content after
     the counted lines are refused.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        *lines, tail = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            *lines, tail = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not ASCII text") from None
     if tail:
         raise ValueError(f"{path}: last line cut before its newline")
     header = lines[0].split() if lines else []
@@ -254,7 +257,10 @@ def read_cache(path: str, magic: str, versions, n_counts: int) -> tuple[str, lis
         raise ValueError(f"{path}: not a {magic} file")
     if header[1] not in versions:
         raise ValueError(f"{path}: unsupported version {header[1]}")
-    counts = [int(c) for c in header[2:]]
+    try:
+        counts = [int(c) for c in header[2:]]
+    except ValueError:
+        raise ValueError(f"{path}: bad count in header") from None
     if min(counts) < 0:
         raise ValueError(f"{path}: negative count in header")
     n_lines, found = counts[0], len(lines) - 1
@@ -265,10 +271,11 @@ def read_cache(path: str, magic: str, versions, n_counts: int) -> tuple[str, lis
     return header[1], counts, lines[1:]
 
 
-def write_lines(path: str, lines: Iterable[str]) -> None:
-    """Write lines as ASCII text, each followed by a newline."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("".join(f"{line}\n" for line in lines))
+def write_lines(path: str, lines: Iterable[str], end: str = "\n") -> None:
+    """Write lines as ASCII text, each followed by end: LF for the caches and
+    chords.csv, CRLF for loss.csv, keys.csv, analogy.csv and the diagnostics."""
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write("".join(f"{line}{end}" for line in lines))
 
 
 def save_corpus(path: str, pieces: Sequence[Sequence[Slice]], digests: Sequence[str] = ()) -> None:
@@ -316,10 +323,11 @@ def load_vocabulary(path: str) -> Vocabulary:
     ranked: list[tuple[Slice, int]] = []
     unk_count = None
     for expected, line in enumerate(lines):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"{path}: bad vocabulary line for id {expected}")
-        token, form, count = int(parts[0]), parts[1], int(parts[2])
+        try:
+            token, form, count = line.split()
+            token, count = int(token), int(count)
+        except ValueError:  # not three fields, or an id or count that is no integer
+            raise ValueError(f"{path}: bad vocabulary line for id {expected}") from None
         if token != expected:
             raise ValueError(f"{path}: ids not contiguous at {token}")
         if count < 0:
@@ -332,4 +340,7 @@ def load_vocabulary(path: str) -> Vocabulary:
             ranked.append((parse_forms(form, path)[0], count))
     if unk_count is None:
         raise ValueError(f"{path}: vocabulary has no {UNK_FORM} entry")
-    return Vocabulary(ranked, unk_count)
+    try:
+        return Vocabulary(ranked, unk_count)
+    except ValueError as exc:  # a duplicate form
+        raise ValueError(f"{path}: {exc}") from None

@@ -14,7 +14,6 @@ pair loss of the batch.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from . import _kernels
 from .rng import Rng
-from .slicer import EncodedCorpus, Vocabulary
+from .slicer import EncodedCorpus, Vocabulary, write_lines
 
 NOISE_POWER = 0.75
 _INIT_CHUNK = 1 << 12  # initial values drawn per block request
@@ -116,20 +115,8 @@ class LossTrace:
             raise ValueError("checkpoint steps must be strictly increasing")
 
     def save_csv(self, path: str) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step", "avg_loss"])
-            for step, loss in self.checkpoints:
-                writer.writerow([step, repr(loss)])
-
-    @classmethod
-    def load_csv(cls, path: str) -> "LossTrace":
-        with open(path, "r", encoding="ascii", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["step", "avg_loss"]:
-                raise ValueError(f"{path}: not a loss trace CSV")
-            return cls([(int(row[0]), float(row[1])) for row in reader])
+        rows = [f"{step},{loss!r}" for step, loss in self.checkpoints]
+        write_lines(path, ["step,avg_loss"] + rows, "\r\n")
 
 
 @dataclass(frozen=True)

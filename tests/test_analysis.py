@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from analysis_oracle import circle_distance, piece_centroid, transpose_piece
+from csv_readers import load_matrix
 
 from slicevec.analysis import (
     CIRCLE_OF_FIFTHS,
@@ -141,7 +142,7 @@ def test_similarity_matrix_csv_round_trip(tmp_path):
     raw = path.read_bytes()
     assert raw.startswith(b"# units: degrees\r\n")
     assert b"0.123457" in raw  # six significant digits
-    loaded = SimilarityMatrix.load_csv(str(path))
+    loaded = load_matrix(str(path))
     assert loaded.units == "degrees"
     assert loaded.row_labels == ("C", "G") and loaded.col_labels == ("C", "G")
     assert math.isnan(loaded.values[1, 1])
@@ -158,7 +159,7 @@ def test_similarity_matrix_distance_units_have_no_comment(tmp_path):
     mat.save_csv(str(path))
     text = path.read_text()
     assert not text.startswith("#")
-    loaded = SimilarityMatrix.load_csv(str(path))
+    loaded = load_matrix(str(path))
     assert loaded.units == "distance"
     assert loaded.values[0, 0] == 1e-07
     path2 = tmp_path / "d2.csv"
@@ -170,7 +171,7 @@ def test_similarity_matrix_rejects_foreign_csv(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
-        SimilarityMatrix.load_csv(str(path))
+        load_matrix(str(path))
 
 
 def _one_hot_major_space() -> EmbeddingSpace:

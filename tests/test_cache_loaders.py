@@ -3,11 +3,13 @@ the corpus cache in both its formats, and a form that is not canonical."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 import pytest
 
+from slicevec import cli
 from slicevec.cli import main
 from slicevec.embedding import EmbeddingSpace, load_embedding, save_embedding
 from slicevec.slicer import (
@@ -162,3 +164,42 @@ def test_writer_edge_case_bytes(tmp_path, case):
     save(path)
     assert open(path, "rb").read() == expected
     load(path)  # and the loader takes it back
+
+
+# every role of a C major tonic, so that `analyze chords --tonics C` reads each row
+_C_MAJOR_SPACE = EmbeddingSpace(
+    ["UNK", "0.4.7", "2.7.11", "0.5.9", "0.4.9", "3.7.10", "1.5.8", "2.7.10"],
+    np.array([[0.5, -1.25], [0.25, 2.0], [-3.0, 5.5], [1.5, 0.75], [2.5, -0.5],
+              [-1.75, 1.5], [0.125, -2.5], [3.5, 1.25]]),
+)
+
+
+@pytest.mark.parametrize("name", sorted(CACHES))
+def test_every_replaced_byte_loads_or_names_its_cache(tmp_path, monkeypatch, capsys, name):
+    """Each byte of a saved cache replaced by x, -, a space, a newline, 0 or a non-ASCII
+    byte: the loader succeeds or refuses with the path first, and the command that loads
+    the cache exits 0 or 2 with at most one stderr line."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
+    # one parser for the whole loop: building it is most of a command's time here
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
+    _save_corpus("corpus.txt")
+    _save_vocab("vocab.txt")
+    save, load, _ = CACHES[name]
+    path, command = _LOADED_BY[name]
+    if name == "embedding":
+        save = functools.partial(save_embedding, space=_C_MAJOR_SPACE)
+        command = command + ["--tonics", "C"]
+    save(path)
+    whole = open(path, "rb").read()
+    for at in range(len(whole)):
+        for byte in b"x- \n0\xe9":
+            with open(path, "wb") as fh:
+                fh.write(whole[:at] + bytes([byte]) + whole[at + 1 :])
+            try:
+                load(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"{path}: "), (at, chr(byte), exc)
+            rc = main(command)
+            err = capsys.readouterr().err
+            assert rc in (0, 2) and err.count("\n") <= 1, (at, chr(byte), rc, err)

@@ -6,15 +6,17 @@ import contextlib
 import glob
 import hashlib
 import os
+import resource
 import struct
 import subprocess
 import sys
 import warnings
 
 import pytest
+from csv_readers import load_matrix
 
 import slicevec
-from slicevec.analysis import CIRCLE_OF_FIFTHS, SimilarityMatrix
+from slicevec.analysis import CIRCLE_OF_FIFTHS
 from slicevec import cli
 from slicevec.cli import main
 from slicevec.midi import parse_midi, write_smf
@@ -68,13 +70,13 @@ def test_full_pipeline(capsys):
 
     rc = main(["analyze", "keys", "--pieces-dir", "midi", "--out", "keys.csv"])
     assert rc == 0
-    matrix = SimilarityMatrix.load_csv("keys.csv")
+    matrix = load_matrix("keys.csv")
     assert matrix.row_labels == CIRCLE_OF_FIFTHS
     assert matrix.units == "distance"
 
     rc = main(["analyze", "analogy", "--roles", "I,V", "--out", "analogy.csv"])
     assert rc == 0
-    angles = SimilarityMatrix.load_csv("analogy.csv")
+    angles = load_matrix("analogy.csv")
     assert angles.units == "degrees"
 
     rc = main(
@@ -256,6 +258,31 @@ def test_numerical_abort_exits_3(capsys):
     assert result.returncode == 3
     assert "numerical abort" in result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
+
+
+@pytest.mark.parametrize(
+    "flags", [["--dims", "100000000"], ["--batch-size", "1000000000", "--dims", "8"]]
+)
+def test_a_setting_that_outgrows_memory_exits_4_in_one_line(capsys, flags):
+    main(["synth", "--out-dir", "midi", "--keys", "C,G", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "4"])
+    main(["ingest", "--corpus-dir", "midi"])
+    capsys.readouterr()
+    # the child's address space is capped at 1 GiB, so the embedding matrix or the
+    # batch array, each several GiB, is refused at allocation and never touches memory
+    cap = 1 << 30
+    src = os.path.dirname(os.path.dirname(slicevec.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from slicevec.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "train", *flags, "--steps", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert result.returncode == 4
+    assert result.stderr.startswith("out of memory: "), result.stderr
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert sorted(os.listdir()) == ["corpus.txt", "midi", "vocab.txt"]  # outputs removed
 
 
 _VOCAB = "SLICEVOCAB v1 3\n0 UNK 0\n1 0.4.7 3\n2 2.7.11 2\n"

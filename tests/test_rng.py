@@ -232,3 +232,43 @@ def test_block_and_scalar_draws_mixed_on_one_rng_match_scalar_draws():
 def test_block_stream_below_rejects_nonpositive():
     with pytest.raises(ValueError):
         Rng(4).below_each(np.array([3, 0], dtype=np.uint64))
+
+
+def _scalar(state, n):
+    """n next_u64 outputs from state, and the state after them."""
+    ref = Rng.from_state(state)
+    return [ref.next_u64() for _ in range(n)], ref.state
+
+
+def test_one_request_longer_than_two_blocks_matches_scalar_draws():
+    for lead in (0, 7):  # from an empty buffer, and behind a buffered tail
+        rng = Rng(21)
+        rng.skip(lead)
+        start = rng.state
+        expected, after = _scalar(start, 2 * BLOCK + 5)
+        assert rng.u64(2 * BLOCK + 5).tolist() == expected, lead
+        assert rng.state == after
+
+
+def test_a_peek_grown_past_a_block_edge_keeps_the_buffered_values():
+    # as _kernels._draw_negatives_py re-peeks further after a rejection
+    rng = Rng(22)
+    rng.skip(BLOCK - 10)
+    start = rng.state
+    expected, after = _scalar(start, 40)
+    assert rng.peek(5).tolist() == expected[:5]  # inside the first block
+    assert rng.peek(40).tolist() == expected  # 10 buffered, 30 from a new block
+    assert rng.state == start
+    rng.skip(40)
+    assert rng.state == after
+    assert rng.u64(3).tolist() == _scalar(after, 3)[0]
+
+
+def test_a_scalar_draw_at_a_block_edge_matches_scalar_draws():
+    rng = Rng(23)
+    rng.u64(BLOCK)  # the buffer is used up exactly at the edge
+    expected, after = _scalar(rng.state, 1 + BLOCK + 1)
+    assert rng.next_u64() == expected[0]
+    assert rng.u64(BLOCK).tolist() == expected[1:-1]  # drawn from the next state on
+    assert rng.next_u64() == expected[-1]
+    assert rng.state == after

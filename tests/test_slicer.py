@@ -6,6 +6,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -336,6 +337,9 @@ def test_vocab_cache_rejects_trailing_line_and_negative_counts(tmp_path):
         load_vocabulary(str(path))
     path.write_text("SLICEVOCAB v1 2\n0 UNK -5\n1 0.4.7 5\n")
     with pytest.raises(ValueError, match="negative count for id 0"):
+        load_vocabulary(str(path))
+    path.write_text("SLICEVOCAB v1 3\n0 UNK 0\n1 0.4.7 5\n2 0.4.7 1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: duplicate slice 0.4.7"):
         load_vocabulary(str(path))
 
 

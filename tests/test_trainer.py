@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from csv_readers import load_loss_trace
 
 from slicevec.rng import Rng
 from slicevec.slicer import EncodedCorpus, Slice, Vocabulary
@@ -296,7 +297,7 @@ def test_loss_trace_round_trip(tmp_path):
     trace.save_csv(str(path))
     text = path.read_text()
     assert text.splitlines()[0] == "step,avg_loss"
-    loaded = LossTrace.load_csv(str(path))
+    loaded = load_loss_trace(str(path))
     assert loaded.checkpoints == trace.checkpoints  # repr round-trips floats
 
 
@@ -311,7 +312,7 @@ def test_loss_trace_rejects_foreign_csv(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
-        LossTrace.load_csv(str(path))
+        load_loss_trace(str(path))
 
 
 def test_train_is_deterministic():
