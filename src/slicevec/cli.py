@@ -10,16 +10,22 @@ import argparse
 import contextlib
 import glob
 import hashlib
+import itertools
 import os
 import sys
-from collections.abc import Container
+from collections import deque
+from collections.abc import Container, Iterator
 from dataclasses import fields
+
+import numpy as np
 
 from . import analysis, generator, synth
 from .config import VALUE_PARSERS, ConfigError, PipelineConfig, resolve_config
 from .embedding import EmbeddingSpace, load_embedding, save_embedding
-from .midi import MidiParseError, parse_midi
+from .midi import MidiParseError, parse_midi, read_pieces
 from .slicer import (
+    N_MASKS,
+    beat_masks,
     build_vocabulary,
     encode_corpus,
     load_corpus,
@@ -104,19 +110,38 @@ def _midi_paths(directory: str) -> list[str]:
     )
 
 
-def _parse_midi_files(paths: list[str], cached: Container[str] = frozenset()) -> list[tuple]:
-    """(path, sha256 hex digest of its bytes, MidiPiece) for each file that parses; the
-    others are skipped. A file whose digest is in cached is not parsed: its piece is None."""
-    parsed = []
-    for path in paths:
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+def _parse_midi_files(paths: list[str], cached: Container[str] = frozenset()) -> Iterator[list]:
+    """Lists of (path, sha256 hex digest of its bytes, MidiPiece), in path order and one list
+    per chunk that read_pieces decodes, for each file that parses; the others are skipped
+    with a line on stderr. A file whose digest is in cached is not parsed: its piece is None."""
+    files = deque()  # (path, digest, bytes to parse, or None when cached, or the OSError)
+
+    def datas():
+        for path in paths:
+            try:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            except OSError as exc:
+                files.append((path, None, exc))
+                continue
             digest = hashlib.sha256(data).hexdigest()
-            parsed.append((path, digest, None if digest in cached else parse_midi(data)))
-        except (MidiParseError, OSError) as exc:
-            print(f"skipping {path}: {exc}", file=sys.stderr)
-    return parsed
+            files.append((path, digest, None if digest in cached else data))
+            if digest not in cached:
+                yield data
+
+    pieces = deque()
+    # a file goes out once its piece is decoded; the files after the last chunk go with []
+    for chunk in itertools.chain(read_pieces(datas()), [[]]):
+        pieces.extend(chunk)
+        batch = []
+        while files and (pieces or not isinstance(files[0][2], bytes)):
+            path, digest, data = files.popleft()
+            piece = pieces.popleft() if isinstance(data, bytes) else data
+            if isinstance(piece, Exception):
+                print(f"skipping {path}: {piece}", file=sys.stderr)
+            else:
+                batch.append((path, digest, piece))
+        yield batch
 
 
 @contextlib.contextmanager
@@ -135,23 +160,24 @@ def _writing(paths: list[str]):
 
 
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
-    parsed = _parse_midi_files(_midi_paths(cfg.corpus_dir))
-    if not parsed:
+    pieces, digests, unclosed = [], [], 0  # each piece a mask array, its notes dropped
+    for batch in _parse_midi_files(_midi_paths(cfg.corpus_dir)):
+        pieces += beat_masks([piece for _, _, piece in batch])
+        digests += [digest for _, digest, _ in batch]
+        unclosed += sum(piece.unclosed_notes for _, _, piece in batch)
+    if not pieces:
         raise DataError(f"no parseable MIDI files in {cfg.corpus_dir}")
-    pieces = [slices_from_piece(piece) for _, _, piece in parsed]
-    unclosed = sum(piece.unclosed_notes for _, _, piece in parsed)
     if unclosed:
         print(f"warning: {unclosed} unclosed notes were closed at end of track", file=sys.stderr)
-    all_slices = [s for piece in pieces for s in piece]
-    if not all_slices:
+    counts = np.bincount(np.concatenate(pieces), minlength=N_MASKS)
+    if not counts.any():
         raise DataError("corpus contains no beats; cannot build a vocabulary")
-    vocab = build_vocabulary(iter(all_slices), cfg.vocab_size)
+    vocab = build_vocabulary(counts, cfg.vocab_size)
     with _writing([cfg.corpus_cache, cfg.vocab_cache]):
-        save_corpus(cfg.corpus_cache, pieces, [digest for _, digest, _ in parsed])
+        save_corpus(cfg.corpus_cache, pieces, digests)
         save_vocabulary(cfg.vocab_cache, vocab)
-    unique = len(set(all_slices))
     print(f"pieces: {len(pieces)}")
-    print(f"unique slices: {unique}")
+    print(f"unique slices: {np.count_nonzero(counts)}")
     print(f"occurrences folded into UNK: {vocab.count_of(vocab.unk_id)}")
     print(f"wrote {cfg.corpus_cache} and {cfg.vocab_cache}")
     return EXIT_OK
@@ -267,7 +293,8 @@ def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) ->
             slices_from_piece(piece) if piece else parse_forms(cached[digest], cfg.corpus_cache),
             root_of[path],
         )
-        for path, digest, piece in _parse_midi_files(list(root_of), cached)
+        for batch in _parse_midi_files(list(root_of), cached)
+        for path, digest, piece in batch
     ]
     if not labeled:
         raise DataError(

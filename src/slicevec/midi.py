@@ -9,10 +9,11 @@ metrical, so wall-clock time never enters the picture.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,36 +96,42 @@ def _read_varlen(data: bytes, pos: int) -> tuple[int, int]:
     raise MidiParseError(f"variable-length quantity longer than 4 bytes at byte {pos - 4}")
 
 
-def _data_byte_error(data: bytes, pos: int) -> None:
-    """Refuse the channel message whose data bytes start at pos: one has the status bit."""
-    bad = pos if data[pos] & 0x80 else pos + 1
-    raise MidiParseError(f"status byte where a data byte belongs at byte {bad}")
+# A delta-time of at most 4 bytes, then a status byte of a two-data-byte channel message
+# (0x80-0xBF: note off/on, aftertouch, control change; 0xE0-0xEF: pitch bend) or, after
+# the first event, running status, then the two data bytes. So inside a run the bytes
+# below 0x80 come in exact triples: a delta's last byte, then the two data bytes.
+_DELTA = rb"[\x80-\xff]{0,3}[\x00-\x7f]"
+_RUN = re.compile(
+    _DELTA + rb"[\x80-\xbf\xe0-\xef][\x00-\x7f]{2}"
+    rb"(?:" + _DELTA + rb"[\x80-\xbf\xe0-\xef]?[\x00-\x7f]{2})*"
+)
+
+# Run bytes that read_pieces gathers before it decodes them at once: a few files share
+# numpy's per-call cost, and a huge file is a chunk of its own size.
+_CHUNK_BYTES = 1 << 15
 
 
-def _read_track(data: bytes, pos: int, end: int, notes: list[int]) -> int:
-    """Read the MTrk events in data[pos:end]; return how many notes it closed at the end.
+def _walk_track(data: bytes, pos: int, end: int, track: int, runs: list) -> int:
+    """Walk the MTrk events in data[pos:end]; return the ticks walked after its last run.
 
-    Appends (pitch, onset, offset, channel) of each note to ``notes`` as four
-    flat ints, in note-off order. A note-off ends the earliest open note-on of
-    its channel and pitch; a note-off at its note-on's tick drops the note,
-    and a stray one is ignored. Percussion is skipped. Notes still open at
-    the end-of-track meta (or where the data runs out) are closed there, in
-    (channel, pitch) order, and lasting at least one tick.
+    Appends (start, stop, ticks walked before it, track) for each maximal run
+    of two-data-byte channel events, as _RUN matches it. The walk itself
+    steps over meta events, sysex, program change and channel pressure, and
+    raises at the first malformed event. It stops at the end-of-track meta or
+    where the data runs out.
     """
-    tick = 0
+    ticks = 0
     running_status = None
-    open_onsets: dict[int, list[int]] = {}  # channel << 7 | pitch -> onset ticks
-    size = len(data)
     while pos < end:
-        delta = data[pos]  # pos < end <= len(data): the first byte is there
-        pos += 1
-        if delta & 0x80:
-            if pos < size and data[pos] < 0x80:  # the common two-byte delta
-                delta = (delta & 0x7F) << 7 | data[pos]
-                pos += 1
-            else:
-                delta, pos = _read_varlen(data, pos - 1)
-        tick += delta
+        run = _RUN.match(data, pos, end)
+        if run:
+            runs.append((pos, run.end(), ticks, track))
+            # only a malformed event can follow under the run's two-data-byte status,
+            # and its error is the same whichever such status it is
+            pos, ticks, running_status = run.end(), 0, 0x80
+            continue
+        delta, pos = _read_varlen(data, pos)
+        ticks += delta
         if pos >= end:
             raise MidiParseError(f"truncated event at byte {pos}")
         status = data[pos]
@@ -135,37 +142,15 @@ def _read_track(data: bytes, pos: int, end: int, notes: list[int]) -> int:
         else:
             status = running_status
 
-        if status < 0xF0:  # channel message
+        if status < 0xF0:  # channel message; a valid two-data-byte one is in a run
             running_status = status
-            if status < 0xA0:  # note off, note on
-                if pos + 2 > end:
-                    raise MidiParseError(f"truncated channel event at byte {pos}")
-                pitch = data[pos]
-                velocity = data[pos + 1]
-                if (pitch | velocity) & 0x80:
-                    _data_byte_error(data, pos)
-                pos += 2
-                channel = status & 0x0F
-                if channel == PERCUSSION_CHANNEL:
-                    continue
-                key = channel << 7 | pitch
-                onsets = open_onsets.get(key)
-                if status >= 0x90 and velocity:
-                    if onsets is None:
-                        open_onsets[key] = [tick]
-                    else:
-                        onsets.append(tick)
-                elif onsets:
-                    onset = onsets.pop(0)
-                    if tick > onset:  # a note-off at the onset tick drops the note
-                        notes += (pitch, onset, tick, channel)
-            else:  # aftertouch, control change, program change, pitch bend
-                nbytes = 1 if 0xC0 <= status < 0xE0 else 2  # program change, channel aftertouch
-                if pos + nbytes > end:
-                    raise MidiParseError(f"truncated channel event at byte {pos}")
-                if (data[pos] | data[pos + nbytes - 1]) & 0x80:
-                    _data_byte_error(data, pos)
-                pos += nbytes
+            nbytes = 1 if 0xC0 <= status < 0xE0 else 2  # program change, channel aftertouch
+            if pos + nbytes > end:
+                raise MidiParseError(f"truncated channel event at byte {pos}")
+            if (data[pos] | data[pos + nbytes - 1]) & 0x80:
+                bad = pos if data[pos] & 0x80 else pos + 1
+                raise MidiParseError(f"status byte where a data byte belongs at byte {bad}")
+            pos += nbytes
         elif status == 0xFF:  # meta event
             running_status = None
             if pos >= end:
@@ -185,27 +170,12 @@ def _read_track(data: bytes, pos: int, end: int, notes: list[int]) -> int:
             pos += length
         else:
             raise MidiParseError(f"unsupported status byte {status:#x} at byte {pos - 1}")
-
-    closed = 0
-    for key in sorted(open_onsets):
-        pitch, channel = key & 0x7F, key >> 7
-        for onset in open_onsets[key]:
-            notes += (pitch, onset, tick if tick > onset else onset + 1, channel)
-            closed += 1
-    return closed
+    return ticks
 
 
-def parse_midi(data: bytes) -> MidiPiece:
-    """Parse SMF format 0/1 bytes into notes plus a beat grid.
-
-    Every note-on with a matching note-off (or note-on at velocity 0) becomes
-    one note; percussion-channel events are discarded; a note-on left open
-    at end of track is closed there and counted in ``unclosed_notes``. A
-    channel message with a data byte of 0x80 or more is refused. Notes are
-    ordered by onset, ties in track order. The grid's ticks_per_beat is the
-    header PPQ value. A piece whose last note ends after MAX_BEATS beats is
-    refused.
-    """
+def _walk(data: bytes) -> tuple[int, list[int], list[tuple[int, int, int, int]]]:
+    """Check an SMF file's header and chunks and walk its tracks: (ticks per beat, the
+    ticks walked after each track's last run, every run as _walk_track appends it)."""
     if len(data) < 14:
         raise MidiParseError("file shorter than an SMF header (byte 0)")
     if data[0:4] != b"MThd":
@@ -222,37 +192,164 @@ def parse_midi(data: bytes) -> MidiPiece:
         raise MidiParseError("zero ticks-per-beat division at byte 12")
 
     pos = 8 + header_len
-    flat: list[int] = []
-    unclosed = 0
-    tracks_seen = 0
-    while tracks_seen < ntrks:
+    tails: list[int] = []
+    runs: list[tuple[int, int, int, int]] = []
+    while len(tails) < ntrks:
         if pos + 8 > len(data):
             raise MidiParseError(f"expected track chunk at byte {pos}")
-        chunk_id = data[pos : pos + 4]
-        chunk_len = struct.unpack(">I", data[pos + 4 : pos + 8])[0]
-        body_start = pos + 8
-        body_end = body_start + chunk_len
+        chunk_id, chunk_len = struct.unpack_from(">4sI", data, pos)
+        body_end = pos + 8 + chunk_len
         if body_end > len(data):
             raise MidiParseError(f"chunk overruns file at byte {pos}")
         if chunk_id == b"MTrk":
-            unclosed += _read_track(data, body_start, body_end, flat)
-            tracks_seen += 1
+            tails.append(_walk_track(data, pos + 8, body_end, len(tails), runs))
         # alien chunks are skipped per the SMF spec
         pos = body_end
+    return division, tails, runs
 
-    length_beats = 0
-    if flat:
-        # checked on Python ints, so the int64 array below cannot overflow
-        last_tick = max(flat[2::4])
-        length_beats = -(-last_tick // division)  # ceil
-        if length_beats > MAX_BEATS:
-            raise MidiParseError(
-                f"last note ends at tick {last_tick}, beat {length_beats}, "
-                f"beyond the {MAX_BEATS}-beat limit"
-            )
-    notes = np.array(flat, dtype=np.int64).reshape(-1, 4)
-    notes = notes[np.argsort(notes[:, 1], kind="stable")]  # ties keep track order
-    return MidiPiece(notes, BeatGrid(division, length_beats), unclosed)
+
+def _decode(chunk: list) -> list[MidiPiece | MidiParseError]:
+    """The piece of each (file bytes, its _walk) in chunk, or the walk's MidiParseError.
+
+    Every run of the chunk is decoded at once: deltas from their continuation
+    bytes, running status by a forward fill, ticks by a per-track cumsum.
+    Notes are paired first-in, first-out per (track, channel, pitch).
+    """
+    parts, carries, run_track, tails, track_file = [], [], [], [], []
+    for f, (data, walk) in enumerate(chunk):
+        if isinstance(walk, MidiParseError):
+            continue
+        _, file_tails, runs = walk
+        view = memoryview(data)
+        for start, stop, carry, track in runs:
+            parts.append(view[start:stop])
+            carries.append(carry)
+            run_track.append(len(tails) + track)
+        tails += file_tails
+        track_file += [f] * len(file_tails)
+    buf = np.frombuffer(b"".join(parts), dtype=np.uint8)
+    last, d1, d2 = np.flatnonzero(buf < 0x80).reshape(-1, 3).T.copy()  # one row per event
+    n = len(last)
+
+    start = np.concatenate(([0], d2[:-1] + 1))  # where each event's delta begins
+    extra = last - start  # its continuation bytes, 0 to 3
+    delta = buf[last].astype(np.int64)
+    for k in (1, 2, 3):
+        more = np.flatnonzero(extra >= k)
+        delta[more] |= (buf[last[more] - k] & 0x7F).astype(np.int64) << 7 * k
+    first = np.searchsorted(start, np.cumsum([0] + [len(p) for p in parts])[:-1])
+    delta[first] += np.array(carries, dtype=np.int64)  # walked ticks go into the next run
+    track = np.repeat(np.array(run_track, dtype=np.int64), np.diff(np.append(first, n)))
+    ids = np.arange(len(tails))
+    lo, hi = np.searchsorted(track, ids), np.searchsorted(track, ids, "right")
+    before = np.concatenate(([0], np.cumsum(delta)))  # int64: deltas are below 2**28
+    tick = before[1:] - before[lo][track]
+    end_tick = before[hi] - before[lo] + np.array(tails, dtype=np.int64)
+
+    stated = np.where(d1 - last == 2, np.arange(n), 0)  # each run's first event has a status
+    status = buf[d1[np.maximum.accumulate(stated)] - 1].astype(np.int64)
+    channel = status & 0x0F
+    note = np.flatnonzero((status < 0xA0) & (channel != PERCUSSION_CHANNEL))
+    key = track[note] << 11 | channel[note] << 7 | buf[d1[note]]
+    # stable: each key's events stay in time order; on 16-bit keys numpy radix-sorts
+    order = np.argsort(key.astype(np.min_scalar_type(len(tails) << 11)), kind="stable")
+    note, key = note[order], key[order]
+    on = (status[note] >= 0x90) & (buf[d2[note]] > 0)
+
+    # per key, a note-off closes a note when the count of open ones, clamped at 0, is
+    # above 0: c = s - min(0, running min of s), for s the running sum of +1 per
+    # note-on and -1 per note-off. The k-th closing note-off closes the k-th note-on.
+    new_key = np.diff(key, prepend=-1) != 0
+    group_start = np.flatnonzero(new_key)
+    group = np.cumsum(new_key) - 1
+    step = np.where(on, 1, -1)
+    s = np.cumsum(step)
+    s -= (s - step)[group_start][group]
+    apart = group * (2 * len(key) + 2)  # sinks each later key below every earlier one
+    open_after = s - np.minimum(np.minimum.accumulate(s - apart) + apart, 0)
+    open_before = np.concatenate(([0], open_after[:-1]))
+    open_before[group_start] = 0
+    on_at = np.flatnonzero(on)
+    off_at = np.flatnonzero(~on & (open_before > 0))
+    rank = np.cumsum(on) - on  # the note-ons before each event of its key
+    rank -= rank[group_start][group]
+    paired = rank[on_at] < np.bincount(group[off_at], minlength=len(group_start))[group[on_at]]
+    onset, offset = tick[note[on_at[paired]]], tick[note[off_at]]
+    kept = offset > onset  # a note-off at its note-on's tick drops the note
+    # the notes still open close at the end of their track, in (channel, pitch) order
+    left = on_at[~paired]
+    left_onset, left_end = tick[note[left]], end_tick[key[left] >> 11]
+    at = np.concatenate((off_at[kept], left))
+    onset = np.concatenate((onset[kept], left_onset))
+    offset = np.concatenate((offset[kept], np.where(left_end > left_onset, left_end, left_onset + 1)))
+    # per track, the closed notes in note-off order, then the notes left open
+    seq = np.concatenate((note[off_at[kept]], n + left))
+    by_track = np.argsort(key[at] >> 11 << 1 + n.bit_length() | seq)
+    at, onset, offset = at[by_track], onset[by_track], offset[by_track]
+    notes = np.stack((key[at] & 0x7F, onset, offset, key[at] >> 7 & 0x0F), axis=1)
+    track_file = np.array(track_file, dtype=np.int64)
+    bounds = np.cumsum(np.bincount(track_file[key[at] >> 11], minlength=len(chunk))).tolist()
+    unclosed = np.bincount(track_file[key[left] >> 11], minlength=len(chunk)).tolist()
+
+    pieces: list[MidiPiece | MidiParseError] = []
+    for f, (_, walk) in enumerate(chunk):
+        if isinstance(walk, MidiParseError):
+            pieces.append(walk)
+            continue
+        division, file_notes, length_beats = walk[0], notes[bounds[f - 1] if f else 0 : bounds[f]], 0
+        if len(file_notes):
+            file_notes = file_notes[np.argsort(file_notes[:, 1], kind="stable")]  # by onset
+            last_tick = int(file_notes[:, 2].max())
+            length_beats = -(-last_tick // division)  # ceil
+            if length_beats > MAX_BEATS:
+                pieces.append(MidiParseError(
+                    f"last note ends at tick {last_tick}, beat {length_beats}, "
+                    f"beyond the {MAX_BEATS}-beat limit"
+                ))
+                continue
+        pieces.append(MidiPiece(file_notes, BeatGrid(division, length_beats), unclosed[f]))
+    return pieces
+
+
+def read_pieces(datas: Iterable[bytes]) -> Iterator[list[MidiPiece | MidiParseError]]:
+    """Parse SMF files a chunk at a time: for each chunk of consecutive files, a list of
+    each file's MidiPiece, as parse_midi gives it, or its MidiParseError, in input order.
+
+    A chunk ends once its runs of channel events hold _CHUNK_BYTES bytes. A bad
+    file never changes its neighbours' pieces.
+    """
+    chunk, size = [], 0
+    for data in datas:
+        try:
+            walk = _walk(data)
+            size += sum(stop - start for start, stop, _, _ in walk[2])
+        except MidiParseError as exc:
+            walk = exc
+        chunk.append((data, walk))
+        if size >= _CHUNK_BYTES:
+            yield _decode(chunk)
+            chunk, size = [], 0
+    if chunk:
+        yield _decode(chunk)
+
+
+def parse_midi(data: bytes) -> MidiPiece:
+    """Parse SMF format 0/1 bytes into notes plus a beat grid.
+
+    Every note-on with a matching note-off (or note-on at velocity 0) becomes
+    one note; a note-off ends the earliest open note-on of its channel and
+    pitch, a note-off at its note-on's tick drops the note, and a stray one is
+    ignored. Percussion-channel events are discarded. A note-on left open at
+    end of track is closed there, lasting at least one tick, and counted in
+    ``unclosed_notes``. A channel message with a data byte of 0x80 or more is
+    refused. Notes are ordered by onset, ties in track order. The grid's
+    ticks_per_beat is the header PPQ value. A piece whose last note ends after
+    MAX_BEATS beats is refused.
+    """
+    (piece,) = next(read_pieces([data]))
+    if isinstance(piece, MidiParseError):
+        raise piece
+    return piece
 
 
 MAX_VARLEN = (1 << 28) - 1  # largest value a 4-byte variable-length quantity holds

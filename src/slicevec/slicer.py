@@ -82,6 +82,7 @@ def _mask_tables() -> tuple[tuple, tuple]:
 PITCH_CLASSES, FORMS = _mask_tables()
 SLICES = tuple(map(int.__new__, repeat(Slice, N_MASKS), range(N_MASKS)))
 SLICE_OF_FORM = dict(zip(FORMS, SLICES))
+_FORM_OF_MASK = np.array(FORMS, dtype=object)  # forms of a mask array in one gather
 
 
 def make_slice(pitches: Iterable[int]) -> Slice:
@@ -97,28 +98,35 @@ def parse_forms(line: str, path: str) -> list[Slice]:
         raise ValueError(f"{path}: bad slice form {exc.args[0]!r}") from None
 
 
-def slices_from_piece(piece: MidiPiece) -> list[Slice]:
-    """One slice per beat of the piece, in beat order.
+def beat_masks(pieces: Sequence[MidiPiece]) -> list[np.ndarray]:
+    """Each piece's slice masks, one per beat in beat order, from one pass over all pieces.
 
     Beat b holds the pitch classes of the notes whose [onset, offset)
     intersects its ticks, so a note ending on a beat boundary is not in the
     next beat. A note sounds from beat onset // tpb up to, not including,
     beat (offset - 1) // tpb + 1; a per-pitch-class difference array over
     those bounds, summed along the beats, gives every beat's classes at once.
+    The pieces lie side by side in the array, each with one more column than
+    it has beats, which absorbs the notes that start or end past its grid.
     """
-    n = piece.grid.piece_length_beats
-    tpb = piece.grid.ticks_per_beat
-    width = n + 1  # column n absorbs notes that start or end past the grid
-    notes = piece.notes
-    row = notes[:, 0] % 12 * width
-    first = np.clip(notes[:, 1] // tpb, 0, n)
-    stop = np.clip((notes[:, 2] - 1) // tpb + 1, 0, n)
-    diff = np.bincount(row + first, minlength=12 * width) - np.bincount(
-        row + stop, minlength=12 * width
-    )
-    sounding = np.cumsum(diff.reshape(12, width)[:, :n], axis=1) > 0
-    masks = (1 << np.arange(12)) @ sounding
-    return [SLICES[m] for m in masks.tolist()]
+    beats = np.array([p.grid.piece_length_beats for p in pieces], dtype=np.int64)
+    base = np.cumsum(beats + 1) - beats - 1  # each piece's first column
+    width = int(beats.sum()) + len(pieces)
+    sizes = [len(p.notes) for p in pieces]
+    notes = np.concatenate([p.notes for p in pieces] + [np.zeros((0, 4), np.int64)])
+    n = np.repeat(beats, sizes)
+    tpb = np.repeat(np.array([p.grid.ticks_per_beat for p in pieces], dtype=np.int64), sizes)
+    at = notes[:, 0] % 12 * width + np.repeat(base, sizes)
+    first = at + np.clip(notes[:, 1] // tpb, 0, n)
+    stop = at + np.clip((notes[:, 2] - 1) // tpb + 1, 0, n)
+    diff = np.bincount(first, minlength=12 * width) - np.bincount(stop, minlength=12 * width)
+    masks = (1 << np.arange(12)) @ (np.cumsum(diff.reshape(12, width), axis=1) > 0)
+    return [masks[b : b + k] for b, k in zip(base.tolist(), beats.tolist())]
+
+
+def slices_from_piece(piece: MidiPiece) -> list[Slice]:
+    """One slice per beat of the piece, in beat order (see beat_masks)."""
+    return [SLICES[m] for m in beat_masks([piece])[0].tolist()]
 
 
 class Vocabulary:
@@ -188,15 +196,19 @@ class Vocabulary:
         return f"Vocabulary(size={self.size})"
 
 
-def build_vocabulary(slices: Iterable[Slice], max_size: int) -> Vocabulary:
+def build_vocabulary(slices: Iterable[Slice] | np.ndarray, max_size: int) -> Vocabulary:
     """Rank distinct slices by frequency and keep the top max_size - 1.
 
-    Everything below the cutoff aggregates into UNK's count. Ties at the
-    cutoff are broken by canonical-form lexicographic order.
+    slices is the slice stream, or already its count per mask (an N_MASKS
+    long int array, as np.bincount of a mask array gives). Everything below
+    the cutoff aggregates into UNK's count. Ties at the cutoff are broken by
+    canonical-form lexicographic order.
     """
     if max_size < 2:
         raise ValueError("max_size must be at least 2 (one content token plus UNK)")
-    counts = np.bincount(np.fromiter(slices, np.intp), minlength=N_MASKS).tolist()
+    if not isinstance(slices, np.ndarray):
+        slices = np.bincount(np.fromiter(slices, np.intp), minlength=N_MASKS)
+    counts = slices.tolist()
     present = [m for m in range(N_MASKS) if counts[m]]
     ranked = sorted(present, key=lambda m: (-counts[m], FORMS[m]))
     if not ranked:
@@ -236,6 +248,13 @@ VOCAB_MAGIC = "SLICEVOCAB"
 FORMAT_VERSION = "v1"
 CORPUS_VERSION = "v2"  # each piece line leads with the sha256 of its file's bytes
 _DIGEST = re.compile("[0-9a-f]{64}")
+_INTEGER = re.compile("0|-?[1-9][0-9]*")  # as str(int) spells it: no "+", "05" or "0_5"
+
+
+def _integer(text: str) -> int:
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not a canonical integer: {text!r}")
+    return int(text)
 
 
 def read_cache(path: str, magic: str, versions, n_counts: int) -> tuple[str, list[int], list[str]]:
@@ -258,7 +277,7 @@ def read_cache(path: str, magic: str, versions, n_counts: int) -> tuple[str, lis
     if header[1] not in versions:
         raise ValueError(f"{path}: unsupported version {header[1]}")
     try:
-        counts = [int(c) for c in header[2:]]
+        counts = [_integer(c) for c in header[2:]]
     except ValueError:
         raise ValueError(f"{path}: bad count in header") from None
     if min(counts) < 0:
@@ -279,7 +298,8 @@ def write_lines(path: str, lines: Iterable[str], end: str = "\n") -> None:
 
 
 def save_corpus(path: str, pieces: Sequence[Sequence[Slice]], digests: Sequence[str] = ()) -> None:
-    """Text cache: header line, then one line of slice forms per piece.
+    """Text cache: header line, then one line of slice forms per piece (its slices or
+    their mask array).
 
     Given digests (the sha256 hex digest of each piece's file), the cache is
     v2 and each line leads with its piece's digest; without, it is v1.
@@ -287,7 +307,7 @@ def save_corpus(path: str, pieces: Sequence[Sequence[Slice]], digests: Sequence[
     lines = [f"{CORPUS_MAGIC} {CORPUS_VERSION if digests else FORMAT_VERSION} {len(pieces)}"]
     for i, piece in enumerate(pieces):
         lead = [digests[i]] if digests else []
-        lines.append(" ".join(lead + [FORMS[s] for s in piece]))
+        lines.append(" ".join(lead + _FORM_OF_MASK[np.asarray(piece, dtype=np.intp)].tolist()))
     write_lines(path, lines)
 
 
@@ -325,7 +345,7 @@ def load_vocabulary(path: str) -> Vocabulary:
     for expected, line in enumerate(lines):
         try:
             token, form, count = line.split()
-            token, count = int(token), int(count)
+            token, count = _integer(token), _integer(count)
         except ValueError:  # not three fields, or an id or count that is no integer
             raise ValueError(f"{path}: bad vocabulary line for id {expected}") from None
         if token != expected:

@@ -53,15 +53,14 @@ def _isolated(tmp_path, monkeypatch):
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """The files parse_midi is called on, in call order."""
+    """The files the CLI parses, in the order it hands them to read_pieces."""
     calls = []
-    real = cli.parse_midi
+    real = cli.read_pieces
 
-    def counting(data):
-        calls.append(data)
-        return real(data)
+    def counting(datas):
+        return real(calls.append(data) or data for data in datas)
 
-    monkeypatch.setattr(cli, "parse_midi", counting)
+    monkeypatch.setattr(cli, "read_pieces", counting)
     return calls
 
 

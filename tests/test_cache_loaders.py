@@ -122,6 +122,43 @@ def test_a_noncanonical_form_exits_2_in_one_line(tmp_path, monkeypatch, capsys, 
     assert capsys.readouterr().err == f"data error: {path}: bad slice form {spelling!r}\n"
 
 
+# each integer field of a cache: (cache, its text with {} for the field, the field's value)
+_INTEGER_FIELDS = {
+    "corpus-count": ("corpus", "SLICECORPUS v1 {}\n" + "0.4.7\n" * 5, 5),
+    "vocab-count": ("vocab", "SLICEVOCAB v1 {}\n0 UNK 0\n1 0.4.7 5\n", 2),
+    "vocab-id": ("vocab", "SLICEVOCAB v1 2\n0 UNK 0\n{} 0.4.7 5\n", 1),
+    "vocab-token-count": ("vocab", "SLICEVOCAB v1 2\n0 UNK 0\n1 0.4.7 {}\n", 5),
+    "embedding-rows": ("embedding", "SLICEVEC v1 {} 2\nUNK 1.0 2.0\n", 1),
+    "embedding-dims": ("embedding", "SLICEVEC v1 1 {}\nUNK 1.0 2.0\n", 2),
+}
+
+
+@pytest.mark.parametrize("spelling", ["+{}", "0{}", "0_{}"])
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_an_integer_spelled_other_than_canonical_exits_2_in_one_line(
+    tmp_path, monkeypatch, capsys, field, spelling
+):
+    """int() reads "+5", "05" and "0_5" as 5, but only "5" is read."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
+    _save_corpus("corpus.txt")
+    _save_vocab("vocab.txt")
+    name, text, value = _INTEGER_FIELDS[field]
+    _, load, _ = CACHES[name]
+    path, command = _LOADED_BY[name]
+    with open(path, "w") as fh:
+        fh.write(text.format(value))
+    load(path)
+    with open(path, "w") as fh:
+        fh.write(text.format(spelling.format(value)))
+    with pytest.raises(ValueError) as refused:
+        load(path)
+    assert str(refused.value).startswith(f"{path}: "), refused.value
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: ") and err.count("\n") == 1, err
+
+
 def test_a_header_counting_more_values_than_memory_holds_exits_2(tmp_path, monkeypatch, capsys):
     """Nothing is allocated from the header's counts: the row's field count refuses it."""
     monkeypatch.chdir(tmp_path)
