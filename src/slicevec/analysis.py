@@ -150,15 +150,13 @@ def key_similarity_matrix(
     if not pieces:
         raise ValueError(f"no {mode} pieces to analyze")
     roots = np.array([PC_OF_NAME[name] for name in CIRCLE_OF_FIFTHS])
-    masks = [np.asarray(slices, dtype=np.intp) for slices, _ in pieces]
-    distinct = np.unique(np.concatenate(masks))
     # the space row of each mask, or the zero row past the vectors when out of
     # vocabulary; UNK, which is no slice, lands on the spare last entry
     zero = space.size
     row_of = np.full(N_MASKS + 1, zero, dtype=np.intp)
     row_of[[SLICE_OF_FORM.get(form, N_MASKS) for form in space.forms]] = np.arange(zero)
-    # row s of shifted_rows: distinct mask s rotated by 0..11 semitones, as space rows
-    k, m = np.arange(12), distinct[:, None]
+    # row s of shifted_rows: mask s rotated by 0..11 semitones, as space rows
+    k, m = np.arange(12), np.arange(N_MASKS)[:, None]
     shifted_rows = row_of[(m << k | m >> (12 - k)) & 0xFFF]
     # -0.0, not 0.0: x + -0.0 == x for every x, so a padded sum keeps its bits
     padded = np.vstack([space.vectors, np.full((1, space.dims), -0.0)])
@@ -166,11 +164,10 @@ def key_similarity_matrix(
     total = np.zeros((12, 12), dtype=np.float64)
     i, j = np.triu_indices(12, 1)
     used = 0
-    for idx, (piece_masks, (_, piece_root)) in enumerate(zip(masks, pieces)):
-        ids = np.searchsorted(distinct, piece_masks)
-        # column t: each distinct slice's row transposed onto roots[t]
-        table = shifted_rows[:, (roots - piece_root) % 12]
-        counts = np.bincount(ids, minlength=len(table)) @ (table != zero)
+    for idx, (slices, piece_root) in enumerate(pieces):
+        # column t: each beat's row transposed onto roots[t]
+        rows = shifted_rows[np.asarray(slices, dtype=np.intp)][:, (roots - piece_root) % 12]
+        counts = (rows != zero).sum(axis=0)
         if not counts.all():
             warnings.warn(
                 f"piece {idx}: a transposition has no in-vocabulary slices; "
@@ -179,9 +176,9 @@ def key_similarity_matrix(
             continue
         # one running sum per transposition in beat order, as the mean of its
         # in-vocabulary rows takes it; each block carries the sum so far in
-        sums = padded[table[ids[:block]]].sum(axis=0)
-        for start in range(block, len(ids), block):
-            part = padded[table[ids[start : start + block]]]
+        sums = padded[rows[:block]].sum(axis=0)
+        for start in range(block, len(rows), block):
+            part = padded[rows[start : start + block]]
             part[0] += sums
             sums = part.sum(axis=0)
         centroids = sums / counts[:, None]

@@ -10,11 +10,10 @@ import argparse
 import contextlib
 import glob
 import hashlib
-import itertools
 import os
 import sys
 from collections import deque
-from collections.abc import Container, Iterator
+from collections.abc import Iterator
 from dataclasses import fields
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import analysis, generator, synth
 from .config import VALUE_PARSERS, ConfigError, PipelineConfig, resolve_config
 from .embedding import EmbeddingSpace, load_embedding, save_embedding
-from .midi import MidiParseError, parse_midi, read_pieces
+from .midi import MidiParseError, MidiPiece, parse_midi, read_pieces
 from .slicer import (
     N_MASKS,
     beat_masks,
@@ -104,44 +103,45 @@ def build_parser() -> _Parser:
 def _midi_paths(directory: str) -> list[str]:
     if not os.path.isdir(directory):
         raise DataError(f"not a directory: {directory}")
+    escaped = glob.escape(directory)  # a "[" or "*" in its name is no pattern
     return sorted(
-        glob.glob(os.path.join(directory, "*.mid"))
-        + glob.glob(os.path.join(directory, "*.midi"))
+        glob.glob(os.path.join(escaped, "*.mid")) + glob.glob(os.path.join(escaped, "*.midi"))
     )
 
 
-def _parse_midi_files(paths: list[str], cached: Container[str] = frozenset()) -> Iterator[list]:
-    """Lists of (path, sha256 hex digest of its bytes, MidiPiece), in path order and one list
-    per chunk that read_pieces decodes, for each file that parses; the others are skipped
-    with a line on stderr. A file whose digest is in cached is not parsed: its piece is None."""
-    files = deque()  # (path, digest, bytes to parse, or None when cached, or the OSError)
+def _parse_midi_files(paths: list[str], corpus_cache: str | None = None) -> Iterator[tuple]:
+    """(path, sha256 hex digest of its bytes, its beat masks, its unclosed notes) for each
+    file that parses, in path order, parsed and sliced a read_pieces chunk at a time; the
+    others are skipped with a line on stderr. A file whose digest is in corpus_cache, if
+    that exists, is not parsed: it takes its cached slices and 0 unclosed notes, and the
+    digest match keeps an edited file from being served stale."""
+    cached = {}
+    if corpus_cache and os.path.exists(corpus_cache):
+        cached = {d: forms for d, forms in read_corpus_lines(corpus_cache) if d}
+    files = deque()  # (path, digest) of each item handed to read_pieces
 
     def datas():
         for path in paths:
+            digest = None
             try:
                 with open(path, "rb") as fh:
                     data = fh.read()
+                digest = hashlib.sha256(data).hexdigest()
             except OSError as exc:
-                files.append((path, None, exc))
-                continue
-            digest = hashlib.sha256(data).hexdigest()
-            files.append((path, digest, None if digest in cached else data))
-            if digest not in cached:
-                yield data
+                data = exc
+            files.append((path, digest))
+            yield None if digest in cached else data  # a cached file is not parsed
 
-    pieces = deque()
-    # a file goes out once its piece is decoded; the files after the last chunk go with []
-    for chunk in itertools.chain(read_pieces(datas()), [[]]):
-        pieces.extend(chunk)
-        batch = []
-        while files and (pieces or not isinstance(files[0][2], bytes)):
-            path, digest, data = files.popleft()
-            piece = pieces.popleft() if isinstance(data, bytes) else data
-            if isinstance(piece, Exception):
-                print(f"skipping {path}: {piece}", file=sys.stderr)
+    for chunk in read_pieces(datas()):
+        masks = iter(beat_masks([piece for piece in chunk if isinstance(piece, MidiPiece)]))
+        for piece in chunk:
+            path, digest = files.popleft()
+            if isinstance(piece, MidiPiece):
+                yield path, digest, next(masks), piece.unclosed_notes
+            elif piece is None:
+                yield path, digest, parse_forms(cached[digest], corpus_cache), 0
             else:
-                batch.append((path, digest, piece))
-        yield batch
+                print(f"skipping {path}: {piece}", file=sys.stderr)
 
 
 @contextlib.contextmanager
@@ -161,10 +161,10 @@ def _writing(paths: list[str]):
 
 def cmd_ingest(args, cfg: PipelineConfig) -> int:
     pieces, digests, unclosed = [], [], 0  # each piece a mask array, its notes dropped
-    for batch in _parse_midi_files(_midi_paths(cfg.corpus_dir)):
-        pieces += beat_masks([piece for _, _, piece in batch])
-        digests += [digest for _, digest, _ in batch]
-        unclosed += sum(piece.unclosed_notes for _, _, piece in batch)
+    for _, digest, masks, notes_left in _parse_midi_files(_midi_paths(cfg.corpus_dir)):
+        pieces.append(masks)
+        digests.append(digest)
+        unclosed += notes_left
     if not pieces:
         raise DataError(f"no parseable MIDI files in {cfg.corpus_dir}")
     if unclosed:
@@ -283,18 +283,9 @@ def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) ->
             root_of[path] = root
     if not root_of:
         raise DataError(f"no {args.mode} pieces with key-labeled filenames in {pieces_dir}")
-    # a file whose bytes ingest sliced into the corpus cache takes its slices
-    # from there; the digest match keeps an edited file from being served stale
-    cached = {}
-    if os.path.exists(cfg.corpus_cache):
-        cached = {d: forms for d, forms in read_corpus_lines(cfg.corpus_cache) if d}
     labeled = [
-        (
-            slices_from_piece(piece) if piece else parse_forms(cached[digest], cfg.corpus_cache),
-            root_of[path],
-        )
-        for batch in _parse_midi_files(list(root_of), cached)
-        for path, digest, piece in batch
+        (masks, root_of[path])
+        for path, _, masks, _ in _parse_midi_files(list(root_of), cfg.corpus_cache)
     ]
     if not labeled:
         raise DataError(

@@ -78,7 +78,7 @@ class PipelineConfig(TrainingConfig, GeneratorConfig):
 def load_config_file(path: str) -> dict[str, str]:
     """Flat key = value lines; blank lines and # comments ignored."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is no key
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None

@@ -208,8 +208,8 @@ def _walk(data: bytes) -> tuple[int, list[int], list[tuple[int, int, int, int]]]
     return division, tails, runs
 
 
-def _decode(chunk: list) -> list[MidiPiece | MidiParseError]:
-    """The piece of each (file bytes, its _walk) in chunk, or the walk's MidiParseError.
+def _decode(chunk: list) -> list[MidiPiece | Exception | None]:
+    """The piece of each (file bytes, its _walk) in chunk, or the walk where it is no tuple.
 
     Every run of the chunk is decoded at once: deltas from their continuation
     bytes, running status by a forward fill, ticks by a per-track cumsum.
@@ -217,7 +217,7 @@ def _decode(chunk: list) -> list[MidiPiece | MidiParseError]:
     """
     parts, carries, run_track, tails, track_file = [], [], [], [], []
     for f, (data, walk) in enumerate(chunk):
-        if isinstance(walk, MidiParseError):
+        if not isinstance(walk, tuple):
             continue
         _, file_tails, runs = walk
         view = memoryview(data)
@@ -291,9 +291,9 @@ def _decode(chunk: list) -> list[MidiPiece | MidiParseError]:
     bounds = np.cumsum(np.bincount(track_file[key[at] >> 11], minlength=len(chunk))).tolist()
     unclosed = np.bincount(track_file[key[left] >> 11], minlength=len(chunk)).tolist()
 
-    pieces: list[MidiPiece | MidiParseError] = []
+    pieces: list[MidiPiece | Exception | None] = []
     for f, (_, walk) in enumerate(chunk):
-        if isinstance(walk, MidiParseError):
+        if not isinstance(walk, tuple):
             pieces.append(walk)
             continue
         division, file_notes, length_beats = walk[0], notes[bounds[f - 1] if f else 0 : bounds[f]], 0
@@ -311,20 +311,23 @@ def _decode(chunk: list) -> list[MidiPiece | MidiParseError]:
     return pieces
 
 
-def read_pieces(datas: Iterable[bytes]) -> Iterator[list[MidiPiece | MidiParseError]]:
-    """Parse SMF files a chunk at a time: for each chunk of consecutive files, a list of
-    each file's MidiPiece, as parse_midi gives it, or its MidiParseError, in input order.
+def read_pieces(datas: Iterable) -> Iterator[list[MidiPiece | Exception | None]]:
+    """Parse SMF files a chunk at a time: for each chunk of consecutive items, a list of
+    each bytes-like item's MidiPiece, as parse_midi gives it, or its MidiParseError, in
+    input order. An item that is None or an exception comes back as it is, in its place.
 
     A chunk ends once its runs of channel events hold _CHUNK_BYTES bytes. A bad
     file never changes its neighbours' pieces.
     """
     chunk, size = [], 0
     for data in datas:
-        try:
-            walk = _walk(data)
-            size += sum(stop - start for start, stop, _, _ in walk[2])
-        except MidiParseError as exc:
-            walk = exc
+        walk = data
+        if data is not None and not isinstance(data, Exception):
+            try:
+                walk = _walk(data)
+                size += sum(stop - start for start, stop, _, _ in walk[2])
+            except MidiParseError as exc:
+                walk = exc
         chunk.append((data, walk))
         if size >= _CHUNK_BYTES:
             yield _decode(chunk)

@@ -12,8 +12,9 @@ import warnings
 import numpy as np
 import pytest
 from test_analysis import _per_transposition_key_values
+from test_midi_reader import EOT, chunk, header
 
-from slicevec import analysis, cli
+from slicevec import analysis, cli, midi
 from slicevec.cli import main
 from slicevec.embedding import EmbeddingSpace
 from slicevec.slicer import Slice, load_corpus, save_corpus
@@ -53,14 +54,17 @@ def _isolated(tmp_path, monkeypatch):
 
 @pytest.fixture
 def parsed(monkeypatch):
-    """The files the CLI parses, in the order it hands them to read_pieces."""
+    """The bytes the CLI hands to read_pieces, in order; a cached file goes as None."""
     calls = []
     real = cli.read_pieces
 
     def counting(datas):
-        return real(calls.append(data) or data for data in datas)
+        for data in datas:
+            if isinstance(data, bytes):
+                calls.append(data)
+            yield data
 
-    monkeypatch.setattr(cli, "read_pieces", counting)
+    monkeypatch.setattr(cli, "read_pieces", lambda datas: real(counting(datas)))
     return calls
 
 
@@ -92,22 +96,45 @@ def test_keys_csv_is_the_same_from_the_cache_a_v1_cache_and_no_cache(run_dir, pa
     assert outputs["v2"] == outputs["v1"] == outputs["none"]
 
 
-def test_only_a_file_rewritten_after_ingest_is_parsed(run_dir, parsed, capsys):
+@pytest.mark.parametrize("chunk_bytes", [1, midi._CHUNK_BYTES])
+def test_only_a_file_rewritten_after_ingest_is_parsed(run_dir, parsed, capsys, monkeypatch,
+                                                      chunk_bytes):
+    """Cache hits, a miss, a corrupt file and a path that does not read, in one directory."""
+    monkeypatch.setattr(midi, "_CHUNK_BYTES", chunk_bytes)
     shutil.copytree(run_dir / "midi", "midi")
     assert main(["synth", "--out-dir", "other", "--keys", "C", "--modes", "major",
                  "--pieces-per-key", "1", "--bars", "8", "--seed", "9"]) == 0
     edited = open("other/C_major_00.mid", "rb").read()
     with open("midi/C_major_00.mid", "wb") as fh:
         fh.write(edited)
+    corrupt = header(0, 1, 4) + chunk(b"MTrk", b"\x00\x90\x3c\xc0" + EOT)
+    with open("midi/C_major_00b.mid", "wb") as fh:  # sorts between two good files
+        fh.write(corrupt)
+    os.mkdir("midi/G_major_00b.mid")  # a path that does not read
     capsys.readouterr()
     parsed.clear()
     rc, cached = _keys(run_dir, "major", f"{run_dir}/corpus.txt", "midi", "cached.csv")
+    err = capsys.readouterr().err.splitlines()
     assert rc == 0
-    assert parsed == [edited]
+    assert parsed == [edited, corrupt]
+    assert err[0] == "skipping midi/C_major_00b.mid: status byte where a data byte belongs at byte 25"
+    assert err[1].startswith("skipping midi/G_major_00b.mid: ")
+    assert len(err) == 2
     rc, fresh = _keys(run_dir, "major", f"{run_dir}/absent.txt", "midi", "fresh.csv")
     assert rc == 0
     rc, original = _keys(run_dir, "major", f"{run_dir}/absent.txt", out="original.csv")
     assert cached == fresh != original
+
+
+def test_a_directory_name_is_no_glob_pattern(run_dir):
+    shutil.copytree(run_dir / "midi", "corp[a]")
+    shutil.copy("corp[a]/C_major_00.mid", "corp[a]/.C_major_00.mid")  # a dot-file is not read
+    rc, escaped = _keys(run_dir, "major", f"{run_dir}/absent.txt", "corp[a]", "escaped.csv")
+    assert rc == 0
+    assert escaped == _keys(run_dir, "major", f"{run_dir}/absent.txt", out="plain.csv")[1]
+    assert main(["ingest", "--corpus-dir", "corp[a]", "--vocab-size", "60"]) == 0
+    for cache in ("corpus.txt", "vocab.txt"):
+        assert open(cache, "rb").read() == open(run_dir / cache, "rb").read()
 
 
 def test_a_file_that_fails_to_parse_is_still_skipped(run_dir, parsed, capsys):

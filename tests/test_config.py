@@ -59,14 +59,16 @@ def test_config_validation():
         PipelineConfig(corpus_cache="same.txt", vocab_cache="same.txt")
 
 
-def test_load_config_file(tmp_path):
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"], ids=["plain", "bom"])
+def test_load_config_file(tmp_path, encoding):
     path = tmp_path / "cfg"
     path.write_text(
+        "dims = 32   # inline comment\n"
         "# a comment\n"
         "\n"
-        "dims = 32   # inline comment\n"
         "embedding_path = out=weird.txt\n"
-        "exclude_identity=off\n"
+        "exclude_identity=off\n",
+        encoding=encoding,
     )
     values = load_config_file(str(path))
     assert values == {

@@ -27,6 +27,8 @@ def _pieces(datas) -> list:
 
 
 def _same(a, b) -> bool:
+    if not isinstance(a, (MidiPiece, MidiParseError)):  # an item read_pieces passes through
+        return a is b
     if isinstance(a, MidiParseError) or isinstance(b, MidiParseError):
         return type(a) is type(b) and str(a) == str(b)
     return (
@@ -74,9 +76,15 @@ def test_chunk_boundaries_change_no_piece(monkeypatch, chunk_bytes):
     datas = _corpus()
     expected = [_pieces([data])[0] for data in datas]  # one file per chunk
     assert sum(isinstance(p, MidiParseError) for p in expected) == 2
+    # None and an exception come back in their place; a bytearray parses as its bytes do
+    unread = OSError("unreadable")
+    datas[2:2], expected[2:2] = [None], [None]
+    datas += [bytearray(datas[1]), unread]
+    expected += [expected[1], unread]
     monkeypatch.setattr(midi, "_CHUNK_BYTES", chunk_bytes)
     got = _pieces(datas)
     assert len(got) == len(datas)
+    assert got[2] is None and got[-1] is unread
     assert all(_same(a, b) for a, b in zip(expected, got))
     for data, piece in zip(datas, got):
         if isinstance(piece, MidiPiece):
