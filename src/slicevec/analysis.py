@@ -15,11 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingSpace, cosine_distance, pair_vector_angle
-from .slicer import N_MASKS, SLICE_OF_FORM, Slice, write_lines
-
-# the most floats key_similarity_matrix gathers at once (8 MB of float64)
-GATHER_FLOATS = 1 << 20
+from .embedding import GATHER_FLOATS, EmbeddingSpace, cosine_distance, pair_vector_angle
+from .slicer import N_MASKS, Slice, write_lines
 
 # circle-of-fifths order: successive entries are a perfect fifth apart
 CIRCLE_OF_FIFTHS = ("C", "G", "D", "A", "E", "B", "F#", "Db", "Ab", "Eb", "Bb", "F")
@@ -150,14 +147,10 @@ def key_similarity_matrix(
     if not pieces:
         raise ValueError(f"no {mode} pieces to analyze")
     roots = np.array([PC_OF_NAME[name] for name in CIRCLE_OF_FIFTHS])
-    # the space row of each mask, or the zero row past the vectors when out of
-    # vocabulary; UNK, which is no slice, lands on the spare last entry
-    zero = space.size
-    row_of = np.full(N_MASKS + 1, zero, dtype=np.intp)
-    row_of[[SLICE_OF_FORM.get(form, N_MASKS) for form in space.forms]] = np.arange(zero)
+    zero = space.size  # the row of an out-of-vocabulary mask: the zero row past the vectors
     # row s of shifted_rows: mask s rotated by 0..11 semitones, as space rows
     k, m = np.arange(12), np.arange(N_MASKS)[:, None]
-    shifted_rows = row_of[(m << k | m >> (12 - k)) & 0xFFF]
+    shifted_rows = space.row_of[(m << k | m >> (12 - k)) & 0xFFF]
     # -0.0, not 0.0: x + -0.0 == x for every x, so a padded sum keeps its bits
     padded = np.vstack([space.vectors, np.full((1, space.dims), -0.0)])
     block = max(1, GATHER_FLOATS // (12 * space.dims))

@@ -104,8 +104,9 @@ def _midi_paths(directory: str) -> list[str]:
     if not os.path.isdir(directory):
         raise DataError(f"not a directory: {directory}")
     escaped = glob.escape(directory)  # a "[" or "*" in its name is no pattern
-    return sorted(
-        glob.glob(os.path.join(escaped, "*.mid")) + glob.glob(os.path.join(escaped, "*.midi"))
+    return sorted(  # "*" skips dot-files; the suffix matches in any case
+        path for path in glob.glob(os.path.join(escaped, "*"))
+        if os.path.splitext(path)[1].lower() in (".mid", ".midi")
     )
 
 
@@ -322,14 +323,14 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
         raise DataError(f"{args.midi_in}: {exc}") from None
     slices = slices_from_piece(piece)
     substitutes, diagnostics = generator.rewrite_piece(slices, space, cfg)
-    data = generator.emit_midi(piece, substitutes)
+    data = generator.emit_midi(piece, substitutes, diagnostics.original)
     with _writing(outputs):
         with open(args.midi_out, "wb") as fh:
             fh.write(data)
         if args.diagnostics:
             generator.save_diagnostics(args.diagnostics, diagnostics)
             print(f"wrote {args.diagnostics}")
-    changed = sum(1 for d in diagnostics if d.original != d.substitute)
+    changed = np.count_nonzero(diagnostics.original != diagnostics.substitute)
     print(f"substituted {changed} of {len(diagnostics)} beats; wrote {args.midi_out}")
     return EXIT_OK
 

@@ -18,15 +18,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .slicer import UNK_FORM, Slice, Vocabulary, read_cache, write_lines
+from .slicer import N_MASKS, UNK_FORM, Slice, Vocabulary, read_cache, write_lines
 from .trainer import EmbeddingMatrix
 
 EMBEDDING_MAGIC = "SLICEVEC"
 FORMAT_VERSION = "v1"
 
+# the most values a ranking or key-matrix temporary holds at once (8 MB of float64)
+GATHER_FLOATS = 1 << 20
+
 
 class EmbeddingSpace:
-    """Immutable (forms, vectors) pairing with id lookups both ways."""
+    """Immutable (forms, vectors) pairing with id lookups both ways, and tables: each row's
+    mask (UNK's is N_MASKS), row_of each mask (size if absent) and the rows by_form order."""
 
     def __init__(self, forms: Sequence[str], vectors: np.ndarray):
         vectors = np.array(vectors, dtype=np.float64, copy=True)
@@ -38,14 +42,16 @@ class EmbeddingSpace:
             )
         if not np.isfinite(vectors).all():
             raise ValueError("vectors must be finite")
-        for form in forms:
-            if form != UNK_FORM:
-                Slice.from_form(form)  # validates
+        masks = [N_MASKS if form == UNK_FORM else Slice.from_form(form) for form in forms]
         self._forms = tuple(forms)
         self._index = {form: i for i, form in enumerate(self._forms)}
         if len(self._index) != len(self._forms):
             raise ValueError("duplicate forms in embedding space")
-        vectors.flags.writeable = False
+        self.masks, self.row_of = np.array(masks, np.intp), np.full(N_MASKS + 1, len(forms))
+        self.row_of[self.masks] = np.arange(len(forms))
+        self.by_form = np.argsort(np.array(self._forms, dtype=str), kind="stable")
+        for table in (vectors, self.masks, self.row_of, self.by_form):
+            table.flags.writeable = False
         self._vectors = vectors
 
     @classmethod
@@ -111,6 +117,28 @@ def cosine_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     return 1.0 - cosine_similarity(a, b)
 
 
+def nearest_rows(space: EmbeddingSpace, queries, n: int, exclude_self=True, exclude=()):
+    """(ids, distances) of the n tokens closest to each query row, ascending; n is capped
+    at the candidates, every row not in exclude. Ties go to canonical-form order (the
+    candidates stand in form order; the sort is stable). A row short of candidates ends
+    at distance inf. Queries go a block at a time, so that a temporary holds about
+    GATHER_FLOATS values (or one query's, if more)."""
+    queries = np.asarray(queries, dtype=np.intp)
+    cands = space.by_form[~np.isin(space.by_form, exclude)]
+    k = min(n, len(cands))
+    ids, dists = np.empty((len(queries), k), dtype=np.intp), np.empty((len(queries), k))
+    block = max(1, GATHER_FLOATS // max(1, len(cands) * space.dims))
+    for start in range(0, len(queries), block):
+        q = queries[start : start + block, None]
+        dist = cosine_distance(space.vectors[q], space.vectors[cands])
+        if exclude_self:
+            dist[cands == q] = np.inf
+        order = np.argsort(dist, axis=-1, kind="stable")[:, :k]
+        ids[start : start + block] = cands[order]
+        dists[start : start + block] = np.take_along_axis(dist, order, -1)
+    return ids, dists
+
+
 def nearest(
     space: EmbeddingSpace,
     query: int,
@@ -128,14 +156,9 @@ def nearest(
         raise KeyError(f"token id {query} out of range")
     if n < 1:
         raise ValueError("n must be >= 1")
-    keep = np.ones(space.size, dtype=bool)
-    keep[query] = not exclude_self
-    if exclude_unk and space.unk_id is not None:
-        keep[space.unk_id] = False
-    cands = np.flatnonzero(keep)
-    dist = cosine_distance(space.vector(query), space.vectors[cands])
-    order = np.lexsort((np.array(space.forms)[cands], dist))[:n]
-    return list(zip(cands[order].tolist(), dist[order].tolist()))
+    unk = space.row_of[N_MASKS:] if exclude_unk else ()
+    ids, dists = nearest_rows(space, [query], n, exclude_self, unk)
+    return [(i, d) for i, d in zip(ids[0].tolist(), dists[0].tolist()) if d < math.inf]
 
 
 def pair_vector_angle(space: EmbeddingSpace, a1: int, b1: int, a2: int, b2: int) -> float:

@@ -11,14 +11,14 @@ through unchanged.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .embedding import EmbeddingSpace, nearest
+from .embedding import EmbeddingSpace, nearest_rows
 from .midi import MidiPiece, write_smf
-from .slicer import REST_FORM, Slice, slices_from_piece, write_lines
+from .slicer import N_MASKS, SLICES, Slice, beat_masks, write_lines
 
 RENDER_BASE_PITCH = 60  # substituted beats render in octave 4
 RENDER_VELOCITY = 80
@@ -64,51 +64,44 @@ def pitch_class_weights(candidates: Sequence[Slice]) -> list[float]:
     return [c / total for c in counts]
 
 
-def substitute_slice(
-    s: Slice, space: EmbeddingSpace, config: GeneratorConfig
-) -> Substitution:
-    """Apply the substitution rule to one slice.
+def _substitutions(masks: np.ndarray, space: EmbeddingSpace, config: GeneratorConfig):
+    """Apply the substitution rule to each slice of a mask array, all ranked in one
+    nearest_rows pass. Out-of-vocabulary slices pass through. UNK and the rest slice are
+    never candidates; an empty candidate pool also passes the input through, with a
+    warning. Warnings come in mask order."""
+    rows = space.row_of[masks]
+    known, unk_and_rest = rows[rows < space.size], space.row_of[[N_MASKS, 0]]
+    ids, dists = nearest_rows(space, known, config.top_n, config.exclude_identity, unk_and_rest)
+    ranked = zip(ids.tolist(), dists.tolist())
+    mask_of, out = space.masks.tolist(), []
+    for s, row in zip(map(SLICES.__getitem__, masks.tolist()), rows.tolist()):
+        top = [] if row == space.size else [
+            (SLICES[mask_of[i]], d) for i, d in zip(*next(ranked)) if d < np.inf
+        ]
+        if not top:
+            if row < space.size:
+                warnings.warn(f"no substitution candidates for {s.form}; passing through")
+            out.append(Substitution(s, s, None, ()))
+            continue
+        if len(top) < config.top_n:
+            warnings.warn(
+                f"only {len(top)} candidates available for {s.form} "
+                f"(top_n={config.top_n}); using all of them"
+            )
+        weights = pitch_class_weights([cand for cand, _ in top])
+        candidates = [SubstitutionCandidate(
+            cand, dist, sum(weights[pc] for pc in cand.pitch_classes) / len(cand.pitch_classes),
+            len(cand.pitch_classes) == len(s.pitch_classes),
+        ) for cand, dist in top]
+        same = [c for c in candidates if c.same_count]
+        best = min(same or candidates, key=lambda c: (-c.score, c.distance, c.slice.form))
+        out.append(Substitution(s, best.slice, best.distance, tuple(candidates)))
+    return out
 
-    Out-of-vocabulary slices pass through. UNK and the rest slice are never
-    candidates; an empty candidate pool also passes the input through, with
-    a warning.
-    """
-    if s.form not in space:
-        return Substitution(s, s, None, ())
-    sid = space.id_of(s.form)
-    ranking = nearest(
-        space,
-        sid,
-        n=space.size,
-        exclude_self=config.exclude_identity,
-        exclude_unk=True,
-    )
-    pool = [
-        (space.form_of(cand), dist)
-        for cand, dist in ranking
-        if space.form_of(cand) != REST_FORM
-    ]
-    if not pool:
-        warnings.warn(f"no substitution candidates for {s.form}; passing through")
-        return Substitution(s, s, None, ())
-    if len(pool) < config.top_n:
-        warnings.warn(
-            f"only {len(pool)} candidates available for {s.form} "
-            f"(top_n={config.top_n}); using all of them"
-        )
-    top = [(Slice.from_form(form), dist) for form, dist in pool[: config.top_n]]
-    weights = pitch_class_weights([cand for cand, _ in top])
-    n_input = len(s.pitch_classes)
-    candidates = []
-    for cand, dist in top:
-        score = sum(weights[pc] for pc in cand.pitch_classes) / len(cand.pitch_classes)
-        candidates.append(
-            SubstitutionCandidate(cand, dist, score, len(cand.pitch_classes) == n_input)
-        )
-    same = [c for c in candidates if c.same_count]
-    contenders = same if same else candidates
-    best = min(contenders, key=lambda c: (-c.score, c.distance, c.slice.form))
-    return Substitution(s, best.slice, best.distance, tuple(candidates))
+
+def substitute_slice(s: Slice, space: EmbeddingSpace, config: GeneratorConfig) -> Substitution:
+    """Apply the substitution rule to one slice (see _substitutions)."""
+    return _substitutions(np.array([s], dtype=np.intp), space, config)[0]
 
 
 @dataclass(frozen=True)
@@ -120,37 +113,49 @@ class BeatDiagnostic:
     top_n: int
 
 
+class BeatDiagnostics(Sequence):
+    """Each beat's BeatDiagnostic, built when read: beat b's comes from subs[which[b]], one
+    Substitution per distinct slice. original and substitute are the beats' masks."""
+
+    def __init__(self, original, subs: list[Substitution], which: np.ndarray, top_n: int):
+        self.original, self.subs, self.which, self.top_n = original, subs, which, top_n
+        self.substitute = np.array([sub.result for sub in subs], dtype=np.intp)[which]
+
+    def __len__(self) -> int:
+        return len(self.which)
+
+    def __getitem__(self, beat: int) -> BeatDiagnostic:
+        beat = range(len(self))[beat]
+        sub = self.subs[self.which[beat]]
+        return BeatDiagnostic(beat, sub.original.form, sub.result.form, sub.distance, self.top_n)
+
+
 def rewrite_piece(
     slices: Sequence[Slice], space: EmbeddingSpace, config: GeneratorConfig
-) -> tuple[list[Slice], list[BeatDiagnostic]]:
-    """Element-wise substitution; returns new slices plus per-beat diagnostics.
-
-    substitute_slice is pure, so each distinct slice is substituted once.
-    """
-    out = []
-    diagnostics = []
-    substitution_of: dict[Slice, Substitution] = {}
-    for beat, s in enumerate(slices):
-        sub = substitution_of.get(s)
-        if sub is None:
-            sub = substitution_of[s] = substitute_slice(s, space, config)
-        out.append(sub.result)
-        diagnostics.append(
-            BeatDiagnostic(beat, s.form, sub.result.form, sub.distance, config.top_n)
-        )
-    return out, diagnostics
+) -> tuple[list[Slice], BeatDiagnostics]:
+    """Element-wise substitution of slices (or a mask array); returns new slices plus per-beat
+    diagnostics. Each distinct slice is substituted once, in order of first appearance."""
+    masks = np.asarray(slices, dtype=np.intp).reshape(-1)
+    _, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    subs = _substitutions(masks[first[order]], space, config)
+    diagnostics = BeatDiagnostics(masks, subs, np.argsort(order)[inverse], config.top_n)
+    return [SLICES[m] for m in diagnostics.substitute.tolist()], diagnostics
 
 
-def save_diagnostics(path: str, diagnostics: Sequence[BeatDiagnostic]) -> None:
-    lines = ["beat,original,substitute,cosine_distance,top_n"]
-    for d in diagnostics:
-        dist = "" if d.cosine_distance is None else repr(d.cosine_distance)
-        lines.append(f"{d.beat},{d.original},{d.substitute},{dist},{d.top_n}")
-    write_lines(path, lines, "\r\n")
+def save_diagnostics(path: str, diagnostics: BeatDiagnostics) -> None:
+    """One CSV line per beat; each distinct slice's fields after the beat are built once."""
+    tails = [
+        f"{sub.original.form},{sub.result.form},"
+        f"{'' if sub.distance is None else repr(sub.distance)},{diagnostics.top_n}"
+        for sub in diagnostics.subs
+    ]
+    lines = [f"{beat},{tails[i]}" for beat, i in enumerate(diagnostics.which.tolist())]
+    write_lines(path, ["beat,original,substitute,cosine_distance,top_n", *lines], "\r\n")
 
 
-def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice]) -> bytes:
-    """Render the substituted piece back to SMF bytes.
+def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice], originals=None) -> bytes:
+    """Render the substituted piece back to SMF bytes (originals: its beat masks, if known).
 
     Beats whose substitute differs from the original slice render their
     pitch classes as simultaneous one-beat notes in octave 4; all other
@@ -163,8 +168,8 @@ def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice]) -> bytes:
             f"{len(substitutes)} substitutes for a {n_beats}-beat piece"
         )
     tpb = piece.grid.ticks_per_beat
-    originals = slices_from_piece(piece)
-    changed = np.asarray(substitutes, dtype=np.intp) != np.asarray(originals, dtype=np.intp)
+    subs = np.asarray(substitutes, dtype=np.intp)
+    changed = subs != (beat_masks([piece])[0] if originals is None else originals)
     # maximal runs of unchanged beats as tick intervals; beats from n_beats on are unchanged
     step = np.diff(np.concatenate(([1], changed, [0])))
     starts = np.flatnonzero(step == -1) * tpb
@@ -177,12 +182,9 @@ def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice]) -> bytes:
     rows = np.repeat(piece.notes, counts, axis=0)
     rows[:, 1] = np.maximum(rows[:, 1], starts[run])
     rows[:, 2] = np.minimum(rows[:, 2], ends[run])
-    rendered = [
-        (RENDER_BASE_PITCH + pc, b * tpb, (b + 1) * tpb, 0)
-        for b in np.flatnonzero(changed).tolist()
-        for pc in substitutes[b].pitch_classes
-    ]
-    rows = np.concatenate(
-        (rows[rows[:, 2] > rows[:, 1]], np.array(rendered, dtype=np.int64).reshape(-1, 4))
-    )
+    # the changed beats' pitch classes in (beat, pitch class) order, from their bit matrix
+    beat, pc = np.nonzero(subs[changed, None] >> np.arange(12) & 1)
+    beat = np.flatnonzero(changed)[beat] * tpb
+    rendered = np.stack((RENDER_BASE_PITCH + pc, beat, beat + tpb, 0 * pc), axis=1)
+    rows = np.concatenate((rows[rows[:, 2] > rows[:, 1]], rendered.astype(np.int64)))
     return write_smf(rows, tpb, velocity=RENDER_VELOCITY)

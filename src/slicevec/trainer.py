@@ -154,8 +154,9 @@ class BatchCursor:
     length, the position of the next center, the context picks of a center
     that did not fit in the last batch, and its own Rng (a copy of the
     caller's state), from which fill and train draw in blocks. The window and
-    the picks per center come from the config given to start. Pieces are
-    walked cyclically, so batches can be drawn forever.
+    the picks per center come from the config given to start, clamped to the
+    longest piece: no window reaches past its piece, so the draws are the same.
+    Pieces are walked cyclically, so batches can be drawn forever.
     """
 
     def __init__(self, corpus: EncodedCorpus, config: TrainingConfig, rng: Rng):
@@ -165,8 +166,8 @@ class BatchCursor:
         self.tokens = np.concatenate(pieces).astype(np.int32, copy=False)
         self.lengths = np.array([len(p) for p in pieces], dtype=np.int64)
         self.offsets = np.cumsum(self.lengths) - self.lengths
-        self.half_window = config.window_c // 2
-        self.num_skips = config.num_skips_k
+        self.half_window = min(config.window_c // 2, int(self.lengths.max()) - 1)
+        self.num_skips = min(config.num_skips_k, int(self.lengths.max()) - 1)
         self.total_tokens = corpus.total_tokens
         self.rng = Rng.from_state(rng.state)
         self._next = 0  # position in tokens of the next center

@@ -7,11 +7,13 @@ so a rename would otherwise only show as a zero in a benchmark line.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from slicevec import generator
 from slicevec.cli import main
 
 SLICEBENCH = Path(__file__).resolve().parent.parent / "slicebench"
@@ -54,3 +56,23 @@ def test_micro_rates_find_every_function(bench, tmp_path, monkeypatch, capsys):
     rates = micro_rates(w, 1, _StubProbe(), notes)
     assert notes == []
     assert all(rate > 0 for rate in rates.values()), rates
+
+
+def test_generate_calls_each_traced_generator_entry_point_once(bench, tmp_path, monkeypatch, capsys):
+    # slicebench's generator.rewrite and generator.emit spans wrap these two names
+    from workloads import WORKLOADS, generate_argv, ingest_argv, synth_argv, train_argv
+
+    monkeypatch.chdir(tmp_path)
+    w = replace(WORKLOADS["accept"], pieces_per_key=1, bars=4, dims=4, steps=4,
+                loss_every=2, batch_size=4)
+    for argv in (synth_argv(w, 1), ingest_argv(w), train_argv(w, 1)):
+        assert main(argv) == 0, argv
+    calls = Counter()
+    for name in ("rewrite_piece", "emit_midi"):
+        def counted(*args, _name=name, _real=getattr(generator, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(generator, name, counted)
+    assert main(generate_argv(w, w.generate[0])) == 0
+    assert calls == {"rewrite_piece": 1, "emit_midi": 1}

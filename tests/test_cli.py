@@ -189,6 +189,39 @@ def test_keys_analysis_opens_only_the_requested_mode(capsys):
     assert err[1] == "data error: no minor piece with a key-labeled filename in midi parsed (1 skipped)"
 
 
+def test_ingest_lists_midi_suffixes_in_any_case(capsys):
+    main(["synth", "--out-dir", "midi", "--keys", "C,G,F", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "4"])
+    assert main(["ingest", "--corpus-dir", "midi", "--corpus-cache", "lower.txt"]) == 0
+    os.mkdir("upper")
+    for name, new_name in (("C", "C_major_00.MID"), ("F", "F_major_00.Midi"), ("G", "G_major_00.mid")):
+        os.rename(f"midi/{name}_major_00.mid", f"upper/{new_name}")
+    with open("upper/.hidden.MID", "wb") as fh:
+        fh.write(b"not midi")  # a dot-file is not listed
+    capsys.readouterr()
+    assert main(["ingest", "--corpus-dir", "upper", "--corpus-cache", "upper.txt"]) == 0
+    captured = capsys.readouterr()
+    assert "pieces: 3" in captured.out and captured.err == ""
+    with open("lower.txt", "rb") as a, open("upper.txt", "rb") as b:
+        assert a.read() == b.read()  # the same files in the same path order
+
+
+def test_keys_analysis_lists_midi_suffixes_in_any_case(capsys):
+    main(["synth", "--out-dir", "midi", "--keys", "all", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "4"])
+    main(["ingest", "--corpus-dir", "midi", "--vocab-size", "150"])
+    main(["train", "--dims", "8", "--steps", "50", "--loss-every", "50", "--batch-size", "16"])
+    assert main(["analyze", "keys", "--pieces-dir", "midi", "--out", "lower.csv"]) == 0
+    os.mkdir("upper")
+    for path in sorted(glob.glob("midi/*.mid")):
+        os.rename(path, "upper/" + os.path.basename(path)[:-4] + ".MID")
+    capsys.readouterr()
+    assert main(["analyze", "keys", "--pieces-dir", "upper", "--out", "upper.csv"]) == 0
+    assert capsys.readouterr().out.endswith("wrote upper.csv from 12 pieces\n")
+    with open("lower.csv", "rb") as a, open("upper.csv", "rb") as b:
+        assert a.read() == b.read()
+
+
 # SMF format 0, PPQ 4: a note-on and note-off whose pitch byte is 0xC8, a status byte
 HIGH_DATA_BYTE = bytes.fromhex("4d546864000000060000000100044d54726b0000000c"
                                "0090c840" "1080c800" "00ff2f00")
@@ -283,6 +316,34 @@ def test_a_setting_that_outgrows_memory_exits_4_in_one_line(capsys, flags):
     assert result.stderr.startswith("out of memory: "), result.stderr
     assert result.stderr.count("\n") == 1, result.stderr
     assert sorted(os.listdir()) == ["corpus.txt", "midi", "vocab.txt"]  # outputs removed
+
+
+def test_a_window_wider_than_every_piece_trains_as_the_tightest_one(capsys):
+    main(["synth", "--out-dir", "midi", "--keys", "C,G", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "4"])
+    main(["ingest", "--corpus-dir", "midi"])
+    with open("corpus.txt") as fh:
+        longest = max(len(line.split()) - 1 for line in fh.read().splitlines()[1:])
+    common = ["--dims", "8", "--steps", "2", "--loss-every", "1", "--batch-size", "16"]
+    tight = ["--window-c", str(2 * (longest - 1)), "--num-skips-k", str(longest - 1)]
+    assert main(["train", *common, *tight, "--embedding-path", "tight.txt",
+                 "--loss-csv", "tight.csv"]) == 0
+    capsys.readouterr()
+    # unclamped, the window of 2e7 positions per center asked for about 9.5 GiB
+    cap = 1 << 30
+    src = os.path.dirname(os.path.dirname(slicevec.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from slicevec.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "train", *common, "--window-c", "20000000",
+         "--num-skips-k", "20000000", "--embedding-path", "wide.txt", "--loss-csv", "wide.csv"],
+        env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert result.returncode == 0, result.stderr
+    for tight_path, wide_path in (("tight.txt", "wide.txt"), ("tight.csv", "wide.csv")):
+        with open(tight_path, "rb") as a, open(wide_path, "rb") as b:
+            assert a.read() == b.read()
 
 
 _VOCAB = "SLICEVOCAB v1 3\n0 UNK 0\n1 0.4.7 3\n2 2.7.11 2\n"

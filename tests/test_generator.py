@@ -243,7 +243,7 @@ def test_rewrite_piece_equals_per_beat_substitution():
     out, diags = rewrite_piece(piece, space, config)
     subs = [substitute_slice(s, space, config) for s in piece]
     assert out == [sub.result for sub in subs]
-    assert diags == [
+    assert list(diags) == [
         BeatDiagnostic(beat, s.form, sub.result.form, sub.distance, 4)
         for beat, (s, sub) in enumerate(zip(piece, subs))
     ]
@@ -422,3 +422,32 @@ def test_emit_midi_time_follows_its_input_not_the_held_beats():
     data = emit_midi(piece, substitutes)
     assert time.perf_counter() - start < 5.0
     assert slices_from_piece(parse_midi(data))[5000] == substitutes[5000]
+
+
+def test_a_long_piece_matches_per_beat_substitution(tiny_space, tmp_path):
+    from slicevec.synth import generate_piece, piece_notes, piece_rng
+
+    # D major over a C/G/F major space: in- and out-of-vocabulary slices, repeated
+    beats = generate_piece(2, "major", 1000, piece_rng(11, 2, "major", 0))
+    notes, grid = piece_notes(beats)
+    piece = MidiPiece(notes, grid)
+    slices = slices_from_piece(piece)
+    assert len(slices) >= 4000
+    config = GeneratorConfig(top_n=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out, diags = rewrite_piece(slices, tiny_space, config)
+        subs = [substitute_slice(s, tiny_space, config) for s in slices]
+    assert out == [sub.result for sub in subs]
+    assert 0 < sum(sub.distance is None for sub in subs) < len(subs)
+    assert len(diags) == len(slices) and diags[-1] == diags[len(slices) - 1]
+    path = tmp_path / "diag.csv"
+    save_diagnostics(str(path), diags)
+    want = ["beat,original,substitute,cosine_distance,top_n"] + [
+        f"{b},{s.form},{sub.result.form},{'' if sub.distance is None else repr(sub.distance)},4"
+        for b, (s, sub) in enumerate(zip(slices, subs))
+    ]
+    assert path.read_bytes() == "".join(f"{line}\r\n" for line in want).encode()
+    data = emit_midi(piece, out)
+    assert data == emit_midi(piece, out, diags.original) == _emit_midi_walk(piece, out)
+    assert slices_from_piece(parse_midi(data)) == out
