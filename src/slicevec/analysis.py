@@ -8,6 +8,7 @@ circle-of-fifths label order and serialize to labeled CSV.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -87,19 +88,13 @@ def chord_distance_profile(
     The tonic slice must be in vocabulary; a missing role slice yields None
     for that role rather than an error.
     """
-    mode = tonic.quality
-    tonic_form = tonic.to_slice().form
-    if tonic_form not in space:
-        raise KeyError(f"tonic slice {tonic_form} is not in the vocabulary")
-    tonic_vec = space.vector(space.id_of(tonic_form))
-    profile: dict[str, float | None] = {}
-    for role in roles:
-        chord_form = realize_role(role, tonic.root, mode).to_slice().form
-        if chord_form not in space:
-            profile[role] = None
-            continue
-        profile[role] = cosine_distance(tonic_vec, space.vector(space.id_of(chord_form)))
-    return profile
+    chords = [tonic] + [realize_role(role, tonic.root, tonic.quality) for role in roles]
+    tonic_row, *rows = space.row_of[[chord.to_slice() for chord in chords]].tolist()
+    if tonic_row == space.size:  # the row of an out-of-vocabulary mask
+        raise KeyError(f"tonic slice {tonic.to_slice().form} is not in the vocabulary")
+    found = [row for row in rows if row < space.size]
+    dists = iter(cosine_distance(space.vectors[tonic_row], space.vectors[found]).tolist())
+    return {role: next(dists) if row < space.size else None for role, row in zip(roles, rows)}
 
 
 @dataclass
@@ -197,28 +192,16 @@ def analogy_angle_matrix(
     realized chords are missing from the vocabulary (or coincide, leaving a
     zero difference) produce NaN entries, flagged by a warning.
     """
-    role_a, role_b = role_pair
-    diffs: list[tuple[int, int] | None] = []
-    for name in CIRCLE_OF_FIFTHS:
-        root = PC_OF_NAME[name]
-        form_a = realize_role(role_a, root, mode).to_slice().form
-        form_b = realize_role(role_b, root, mode).to_slice().form
-        if form_a not in space or form_b not in space or form_a == form_b:
-            warnings.warn(f"key {name}: {role_a}-{role_b} pair not measurable")
-            diffs.append(None)
-            continue
-        diffs.append((space.id_of(form_a), space.id_of(form_b)))
+    rows = space.row_of[
+        [[realize_role(role, PC_OF_NAME[name], mode).to_slice() for role in role_pair]
+         for name in CIRCLE_OF_FIFTHS]
+    ]
+    measurable = (rows < space.size).all(axis=1) & (rows[:, 0] != rows[:, 1])
+    for name in np.array(CIRCLE_OF_FIFTHS)[~measurable]:
+        warnings.warn(f"key {name}: {role_pair[0]}-{role_pair[1]} pair not measurable")
+    keys = np.flatnonzero(measurable)
     values = np.full((12, 12), math.nan)
-    for i in range(12):
-        if diffs[i] is None:
-            continue
-        values[i, i] = 0.0
-        for j in range(i + 1, 12):
-            if diffs[j] is None:
-                continue
-            a1, b1 = diffs[i]
-            a2, b2 = diffs[j]
-            angle = pair_vector_angle(space, a1, b1, a2, b2)
-            values[i, j] = angle
-            values[j, i] = angle
+    values[keys, keys] = 0.0
+    for i, j in itertools.combinations(keys.tolist(), 2):
+        values[i, j] = values[j, i] = pair_vector_angle(space, *rows[i], *rows[j])
     return SimilarityMatrix(CIRCLE_OF_FIFTHS, CIRCLE_OF_FIFTHS, values, "degrees")

@@ -58,11 +58,6 @@ class Slice(int):
         except KeyError:
             raise ValueError(f"bad slice form {form!r}") from None
 
-    def transpose(self, semitones: int) -> "Slice":
-        """The slice shifted by semitones: its mask rotated."""
-        k = semitones % 12
-        return SLICES[(self << k | self >> (12 - k)) & 0xFFF]
-
     def __str__(self) -> str:
         return self.form
 
@@ -156,10 +151,6 @@ class Vocabulary:
     @property
     def unk_id(self) -> int:
         return 0
-
-    def token_of(self, s: Slice) -> int:
-        """The slice's id, or unk_id when it is out of vocabulary."""
-        return int(self._id_of[s])
 
     def slice_of(self, token: int) -> Slice:
         """The slice for a content token id. UNK has no slice."""

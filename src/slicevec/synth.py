@@ -203,6 +203,8 @@ def synth_corpus(
     """
     if pieces_per_key < 1:
         raise ValueError("pieces_per_key must be >= 1")
+    if seed < 0:  # piece_rng seeds numpy, which takes no negative seed
+        raise ValueError(f"seed must be >= 0 for synth, not {seed}")
     n_beats = n_bars * BEATS_PER_BAR
     if n_beats > MAX_BEATS:  # parse_midi would refuse the files
         raise ValueError(f"{n_bars} bars are {n_beats} beats, beyond the {MAX_BEATS}-beat limit")

@@ -14,6 +14,7 @@ pair loss of the batch.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -299,6 +300,11 @@ def train(
     _validate_corpus(corpus, vocab)
     if vocab.size < 2:
         raise ValueError("vocabulary must have at least 2 tokens")
+    # vectors or negatives past sys.maxsize bytes fit no address space: numpy says ValueError
+    for name, nbytes in (("dims", vocab.size * config.dims * 8),
+                         ("batch_size", config.batch_size * config.negative_samples * 4)):
+        if nbytes > sys.maxsize:
+            raise MemoryError(f"{name} {getattr(config, name)} asks for an array of {nbytes} bytes")
     rng = Rng(config.seed)
     emb = EmbeddingMatrix.initialize(vocab.size, config.dims, rng)
     if config.steps == 0:

@@ -16,9 +16,14 @@ from slicevec.embedding import EmbeddingSpace
 from slicevec.slicer import Slice
 
 
+def transpose(s: Slice, semitones: int) -> Slice:
+    """The slice with every pitch class shifted by semitones (mod 12)."""
+    return Slice(sorted((pc + semitones) % 12 for pc in s.pitch_classes))
+
+
 def transpose_piece(slices: Iterable[Slice], semitones: int) -> list[Slice]:
     """Shift every pitch class by semitones (mod 12); length preserved."""
-    return [s.transpose(semitones) for s in slices]
+    return [transpose(s, semitones) for s in slices]
 
 
 def piece_centroid(space: EmbeddingSpace, slices: Sequence[Slice]) -> tuple[np.ndarray | None, int]:

@@ -1,14 +1,17 @@
-"""Shared fixtures: a small synthetic corpus and a quickly trained space.
+"""Shared fixtures: a small synthetic corpus and a quickly trained space, and
+the acceptance gate's corpus and trained cap-500 space.
 
-The heavy end-to-end training lives in test_acceptance; everything here is
-sized for unit-test turnaround (a couple of seconds total).
+The acceptance space takes most of a tier-1 run to train, so it is built
+once per session for test_acceptance and the tests that check batched code
+against per-query references on it; the other fixtures are sized for
+unit-test turnaround (a couple of seconds total).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from slicevec.analysis import PC_OF_NAME
+from slicevec.analysis import CIRCLE_OF_FIFTHS, PC_OF_NAME
 from slicevec.embedding import EmbeddingSpace
 from slicevec.slicer import Slice, build_vocabulary, encode_corpus, make_slice
 from slicevec.synth import generate_piece, piece_rng
@@ -54,3 +57,48 @@ def tiny_space(tiny_trained):
 
 def slice_of(form: str) -> Slice:
     return Slice.from_form(form)
+
+
+ACC_SEED = 11
+ACC_BARS = 26  # 12 keys x 4 pieces x 26 bars x 4 beats = 4992 slices
+
+
+@pytest.fixture(scope="session")
+def acc_pieces():
+    """12 major keys x 4 pieces, ~5k slices total."""
+    pieces = []
+    for name in CIRCLE_OF_FIFTHS:
+        root = PC_OF_NAME[name]
+        for index in range(4):
+            rng = piece_rng(ACC_SEED, root, "major", index)
+            beats = generate_piece(root, "major", ACC_BARS, rng)
+            pieces.append(([make_slice(b) for b in beats], root, "major"))
+    assert sum(len(s) for s, _, _ in pieces) == 4992
+    return pieces
+
+
+@pytest.fixture(scope="session")
+def acc_main(acc_pieces):
+    """Fully trained cap-500 space backing the geometry criteria."""
+    flat = [s for slices, _, _ in acc_pieces for s in slices]
+    config = TrainingConfig(
+        dims=64,
+        window_c=4,
+        num_skips_k=2,
+        negative_samples=5,
+        learning_rate=0.1,
+        batch_size=128,
+        steps=50_000,
+        seed=ACC_SEED,
+        loss_every=2000,
+    )
+    vocab = build_vocabulary(iter(flat), 500)
+    corpus = encode_corpus([slices for slices, _, _ in acc_pieces], vocab)
+    emb, trace = train(corpus, vocab, config)
+    return {
+        "vocab": vocab,
+        "corpus": corpus,
+        "emb": emb,
+        "trace": trace,
+        "space": EmbeddingSpace.from_training(vocab, emb),
+    }

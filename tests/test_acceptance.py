@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 from analysis_oracle import circle_distance
+from conftest import ACC_SEED
 
 from slicevec.analysis import (
     CIRCLE_OF_FIFTHS,
@@ -29,7 +30,6 @@ from slicevec.analysis import (
 from slicevec.embedding import (
     EmbeddingSpace,
     load_embedding,
-    nearest,
     save_embedding,
 )
 from slicevec.generator import GeneratorConfig, emit_midi, rewrite_piece, substitute_slice
@@ -57,8 +57,6 @@ from slicevec.trainer import (
     train,
 )
 
-ACC_SEED = 11
-ACC_BARS = 26  # 12 keys x 4 pieces x 26 bars x 4 beats = 4992 slices
 A_MINOR_SCALE = {9, 11, 0, 2, 4, 5, 7}
 
 
@@ -70,20 +68,6 @@ def report(capsys):
             print(f"\nacceptance criterion {num} ({name}): {verdict}")
 
     return _report
-
-
-@pytest.fixture(scope="module")
-def acc_pieces():
-    """12 major keys x 4 pieces, ~5k slices total."""
-    pieces = []
-    for name in CIRCLE_OF_FIFTHS:
-        root = PC_OF_NAME[name]
-        for index in range(4):
-            rng = piece_rng(ACC_SEED, root, "major", index)
-            beats = generate_piece(root, "major", ACC_BARS, rng)
-            pieces.append(([make_slice(b) for b in beats], root, "major"))
-    assert sum(len(s) for s, _, _ in pieces) == 4992
-    return pieces
 
 
 @pytest.fixture(scope="module")
@@ -125,33 +109,6 @@ def acc_runs(acc_pieces):
     runs["elapsed"] = time.perf_counter() - started
     runs["config"] = config
     return runs
-
-
-@pytest.fixture(scope="module")
-def acc_main(acc_pieces):
-    """Fully trained cap-500 space backing the geometry criteria."""
-    flat = [s for slices, _, _ in acc_pieces for s in slices]
-    config = TrainingConfig(
-        dims=64,
-        window_c=4,
-        num_skips_k=2,
-        negative_samples=5,
-        learning_rate=0.1,
-        batch_size=128,
-        steps=50_000,
-        seed=ACC_SEED,
-        loss_every=2000,
-    )
-    vocab = build_vocabulary(iter(flat), 500)
-    corpus = encode_corpus([slices for slices, _, _ in acc_pieces], vocab)
-    emb, trace = train(corpus, vocab, config)
-    return {
-        "vocab": vocab,
-        "corpus": corpus,
-        "emb": emb,
-        "trace": trace,
-        "space": EmbeddingSpace.from_training(vocab, emb),
-    }
 
 
 def _fd_mean_loss(inp, out, pairs, negs):

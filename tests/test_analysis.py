@@ -14,6 +14,7 @@ from csv_readers import load_matrix
 from slicevec.analysis import (
     CIRCLE_OF_FIFTHS,
     MAJOR_ROLES,
+    MINOR_ROLES,
     PC_OF_NAME,
     ChordSpec,
     SimilarityMatrix,
@@ -22,7 +23,7 @@ from slicevec.analysis import (
     key_similarity_matrix,
     realize_role,
 )
-from slicevec.embedding import EmbeddingSpace, cosine_distance
+from slicevec.embedding import EmbeddingSpace, cosine_distance, pair_vector_angle
 from slicevec.slicer import Slice
 
 # independent statement of the role table: semitone offsets of each chord
@@ -222,7 +223,7 @@ def test_key_similarity_matrix_matches_manual_average():
     for slices, piece_root in pieces:
         cents = []
         for target in roots:
-            moved = [s.transpose((target - piece_root) % 12) for s in slices]
+            moved = transpose_piece(slices, (target - piece_root) % 12)
             rows = [space.vectors[space.id_of(s.form)] for s in moved]
             cents.append(sum(rows) / len(rows))
         for i in range(12):
@@ -357,3 +358,76 @@ def test_major_roles_cover_the_role_table():
     assert set(MAJOR_ROLES) == {
         role for (mode, role) in EXPECTED_ROLE_TONES if mode == "major"
     }
+
+
+def _acceptance_spaces(acc_main):
+    """The acceptance space, which holds every triad, and a copy without the D and A
+    major and E minor triads, so that tonics and roles go missing."""
+    space = acc_main["space"]
+    gone = {_triad_form(2, "major"), _triad_form(9, "major"), _triad_form(4, "minor")}
+    keep = [i for i, form in enumerate(space.forms) if form not in gone]
+    return space, EmbeddingSpace([space.forms[i] for i in keep], space.vectors[keep])
+
+
+def test_profile_on_the_acceptance_space_equals_per_pair_lookups(acc_main):
+    spaces, missing, refused = _acceptance_spaces(acc_main), 0, 0
+    for space in spaces:
+        for quality, roles in (("major", MAJOR_ROLES), ("minor", MINOR_ROLES)):
+            for root in range(12):
+                tonic = ChordSpec(root, quality)
+                tonic_form = tonic.to_slice().form
+                if tonic_form not in space:
+                    with pytest.raises(KeyError, match=f"^'tonic slice {tonic_form} is not"):
+                        chord_distance_profile(space, tonic, roles)
+                    refused += 1
+                    continue
+                expected = {}
+                for role in roles:
+                    form = realize_role(role, root, quality).to_slice().form
+                    expected[role] = None if form not in space else cosine_distance(
+                        space.vector(space.id_of(tonic_form)), space.vector(space.id_of(form))
+                    ).hex()
+                profile = chord_distance_profile(space, tonic, roles)
+                assert list(profile) == list(roles)
+                assert {r: None if d is None else d.hex() for r, d in profile.items()} == expected
+                missing += list(expected.values()).count(None)
+    assert refused == 3 and missing > 0  # the pruned copy refuses D, A and Em as tonics
+
+
+def _analogy_per_form(space, role_pair, mode):
+    """The per-form loop: one membership test and one id lookup per chord."""
+    role_a, role_b = role_pair
+    diffs = []
+    for name in CIRCLE_OF_FIFTHS:
+        root = PC_OF_NAME[name]
+        form_a = realize_role(role_a, root, mode).to_slice().form
+        form_b = realize_role(role_b, root, mode).to_slice().form
+        if form_a not in space or form_b not in space or form_a == form_b:
+            warnings.warn(f"key {name}: {role_a}-{role_b} pair not measurable")
+            diffs.append(None)
+            continue
+        diffs.append((space.id_of(form_a), space.id_of(form_b)))
+    values = np.full((12, 12), math.nan)
+    for i in range(12):
+        if diffs[i] is None:
+            continue
+        values[i, i] = 0.0
+        for j in range(i + 1, 12):
+            if diffs[j] is not None:
+                values[i, j] = values[j, i] = pair_vector_angle(space, *diffs[i], *diffs[j])
+    return values
+
+
+@pytest.mark.parametrize("role_pair", [("I", "V"), ("I", "vi"), ("I", "I")])
+def test_analogy_on_the_acceptance_space_equals_the_per_form_loop(acc_main, role_pair):
+    for space in _acceptance_spaces(acc_main):
+        with warnings.catch_warnings(record=True) as expected_warnings:
+            warnings.simplefilter("always")
+            expected = _analogy_per_form(space, role_pair, "major")
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            matrix = analogy_angle_matrix(space, role_pair, "major")
+        assert matrix.values.tobytes() == expected.tobytes()
+        assert [str(w.message) for w in got_warnings] == [
+            str(w.message) for w in expected_warnings
+        ]

@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from test_acceptance import acc_main, acc_pieces  # noqa: F401  the gate's trained cap-500 space
 
 from slicevec import embedding
 from slicevec.embedding import EmbeddingSpace, cosine_distance, nearest, nearest_rows

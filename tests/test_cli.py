@@ -294,7 +294,13 @@ def test_numerical_abort_exits_3(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--dims", "100000000"], ["--batch-size", "1000000000", "--dims", "8"]]
+    "flags",
+    [
+        ["--dims", "100000000"],
+        ["--batch-size", "1000000000", "--dims", "8"],
+        ["--dims", str(1 << 62)],  # more bytes than an address space holds
+        ["--batch-size", str(1 << 62), "--dims", "8"],
+    ],
 )
 def test_a_setting_that_outgrows_memory_exits_4_in_one_line(capsys, flags):
     main(["synth", "--out-dir", "midi", "--keys", "C,G", "--modes", "major",
@@ -344,6 +350,58 @@ def test_a_window_wider_than_every_piece_trains_as_the_tightest_one(capsys):
     for tight_path, wide_path in (("tight.txt", "wide.txt"), ("tight.csv", "wide.csv")):
         with open(tight_path, "rb") as a, open(wide_path, "rb") as b:
             assert a.read() == b.read()
+
+
+def _outputs(argv, paths):
+    """The bytes of each of paths after a run of argv that exits 0."""
+    assert main(argv) == 0, argv
+    contents = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            contents.append(fh.read())
+    return contents
+
+
+def test_integer_settings_at_2_to_the_62_run_as_their_tightest_value(capsys):
+    """Each integer setting at 2**62 writes the bytes of the smallest value that acts the
+    same, or is refused in one line. dims and batch_size at 2**62 exit 4: they are rows of
+    test_a_setting_that_outgrows_memory_exits_4_in_one_line, which caps the address space;
+    synth --bars 65537 exits 1, a row of the table below."""
+    big = str(1 << 62)
+    main(["synth", "--out-dir", "midi", "--keys", "C,G", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "4"])
+    caches = ["corpus.txt", "vocab.txt"]
+    corpus, vocab = _outputs(["ingest", "--corpus-dir", "midi", "--vocab-size", big], caches)
+    size = vocab.split(b"\n")[0].split()[2].decode()  # every distinct slice, plus UNK
+    assert _outputs(["ingest", "--corpus-dir", "midi", "--vocab-size", size], caches) == [
+        corpus, vocab]
+
+    longest = max(len(line.split()) - 1 for line in corpus.decode().splitlines()[1:])
+    train = ["train", "--dims", "4", "--steps", "2", "--loss-every", "1", "--batch-size", "8"]
+    trained = ["embedding.txt", "loss.csv"]
+    for wide, tight in (
+        (["--window-c", big], ["--window-c", str(2 * (longest - 1))]),
+        (["--window-c", big, "--num-skips-k", big],
+         ["--window-c", str(2 * (longest - 1)), "--num-skips-k", str(longest - 1)]),
+        (["--loss-every", big], ["--loss-every", "3"]),  # past the 2 steps: no checkpoint
+    ):
+        assert _outputs([*train, *wide], trained) == _outputs([*train, *tight], trained), wide
+
+    forms = [line.split()[1] for line in vocab.decode().splitlines()[1:]]
+    assert "R" not in forms  # so every slice of the piece has the same candidates
+    pool = len(forms) - 2  # all but UNK and the query itself
+    generate = ["generate", "--midi-in", "midi/C_major_00.mid", "--midi-out", "out.mid"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # 2**62 asks for more candidates than there are
+        wide_midi = _outputs([*generate, "--top-n", big], ["out.mid"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "only N candidates": top_n is the whole pool
+        assert _outputs([*generate, "--top-n", str(pool)], ["out.mid"]) == wide_midi
+
+    assert main([*train, "--negative-samples", "64"]) == 0
+    capsys.readouterr()
+    assert main([*train, "--negative-samples", "65"]) == 1
+    assert capsys.readouterr().err == "config error: negative_samples must be in 1..64\n"
 
 
 _VOCAB = "SLICEVOCAB v1 3\n0 UNK 0\n1 0.4.7 3\n2 2.7.11 2\n"
@@ -433,6 +491,8 @@ _CACHES = ["--corpus-cache", "{run}/corpus.txt", "--vocab-cache", "{run}/vocab.t
          "data error: [Errno 17] File exists: '{run}/corpus.txt'"),
         (["synth", "--out-dir", "long", "--keys", "C", "--bars", "65537"], 1,
          "config error: 65537 bars are 262148 beats, beyond the 262144-beat limit"),
+        (["synth", "--out-dir", "neg", "--keys", "C", "--bars", "2", "--seed", "-1"], 1,
+         "config error: seed must be >= 0 for synth, not -1"),
         (["stats", "--config", "{run}"], 1, "config error: cannot read config file {run}:"),
         (["stats", "--config", "{run}/midi/C_major_00.mid"], 1,
          "config error: cannot read config file {run}/midi/C_major_00.mid: "
@@ -442,6 +502,7 @@ _CACHES = ["--corpus-cache", "{run}/corpus.txt", "--vocab-cache", "{run}/vocab.t
         "generate-midi-out", "generate-diagnostics", "ingest-vocab-cache", "train-loss-csv",
         "analyze-out", "ingest-corpus-cache",
         "train-embedding-path", "synth-out-dir-is-a-file", "synth-beyond-beat-limit",
+        "synth-negative-seed",
         "config-is-a-directory", "config-not-utf8",
     ],
 )

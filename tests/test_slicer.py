@@ -11,6 +11,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from analysis_oracle import transpose
 from midi_oracle import note_array, sounding_pitches
 
 from slicevec.midi import BeatGrid, MidiPiece, NoteEvent
@@ -86,8 +87,8 @@ def test_every_mask_is_one_shared_slice():
         assert Slice.from_form(s.form) is s
         assert Slice(pcs) is s
         assert s == mask and hash(s) == hash(mask)
-        for k in range(-13, 14):
-            assert s.transpose(k).pitch_classes == tuple(sorted((pc + k) % 12 for pc in pcs))
+        for k in range(-13, 14):  # the oracle's shift is the mask rotated, as the key matrix has it
+            assert transpose(s, k) == (mask << k % 12 | mask >> (12 - k % 12)) & 0xFFF
 
 
 def test_copy_and_pickle_give_back_the_slice():
@@ -109,10 +110,10 @@ def test_transpose_group_properties():
         s = Slice(pcs)
         a = rnd.randrange(-24, 25)
         b = rnd.randrange(-24, 25)
-        assert s.transpose(0) == s
-        assert s.transpose(12) == s
-        assert s.transpose(a).transpose(b) == s.transpose(a + b)
-        assert len(s.transpose(a).pitch_classes) == len(pcs)
+        assert transpose(s, 0) == s
+        assert transpose(s, 12) == s
+        assert transpose(transpose(s, a), b) == transpose(s, a + b)
+        assert len(transpose(s, a).pitch_classes) == len(pcs)
 
 
 def test_slices_from_piece():
@@ -197,7 +198,8 @@ def test_vocabulary_ranking_matches_counting_oracle():
         for token, (s, count) in enumerate(kept, start=1):
             assert vocab.slice_of(token) == s
             assert vocab.count_of(token) == count
-            assert vocab.token_of(s) == token
+        ids = encode_corpus([[s for s, _ in kept]], vocab).pieces[0]
+        assert ids.tolist() == list(range(1, vocab.size))
         folded = sum(c for _, c in ranked[max_size - 1 :])
         assert vocab.count_of(vocab.unk_id) == folded
 
@@ -216,7 +218,7 @@ def test_unk_is_token_zero():
     vocab = build_vocabulary(iter([Slice((0,))]), max_size=5)
     assert vocab.unk_id == 0
     assert vocab.form_of(0) == "UNK"
-    assert vocab.token_of(Slice((5,))) == 0  # out of vocabulary
+    assert encode_corpus([[Slice((5,))]], vocab).pieces[0].tolist() == [0]  # out of vocabulary
     with pytest.raises(KeyError):
         vocab.slice_of(0)  # UNK names no single slice
     with pytest.raises(KeyError):
