@@ -99,23 +99,22 @@ def chord_distance_profile(
 
 @dataclass
 class SimilarityMatrix:
-    """Square labeled matrix of distances or angles, CSV-serializable."""
+    """Square matrix of distances or angles, labels naming rows and columns; CSV-serializable."""
 
-    row_labels: tuple[str, ...]
-    col_labels: tuple[str, ...]
+    labels: tuple[str, ...]
     values: np.ndarray
     units: str = "distance"  # or "degrees"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (len(self.row_labels), len(self.col_labels)):
-            raise ValueError("matrix shape does not match label counts")
+        if self.values.shape != (len(self.labels), len(self.labels)):
+            raise ValueError("matrix shape does not match label count")
 
     def save_csv(self, path: str) -> None:
         """Labeled CSV, 6 significant digits; angle matrices lead with "# units: degrees"."""
         lines = ["# units: degrees"] if self.units == "degrees" else []
-        lines.append(",".join(["", *self.col_labels]))
-        for label, row in zip(self.row_labels, self.values):
+        lines.append(",".join(["", *self.labels]))
+        for label, row in zip(self.labels, self.values):
             lines.append(",".join([label] + [_format_value(v) for v in row]))
         write_lines(path, lines, "\r\n")
 
@@ -179,7 +178,7 @@ def key_similarity_matrix(
         raise ValueError("every piece was excluded; cannot build key matrix")
     values = total / used
     np.fill_diagonal(values, 0.0)
-    return SimilarityMatrix(CIRCLE_OF_FIFTHS, CIRCLE_OF_FIFTHS, values, "distance")
+    return SimilarityMatrix(CIRCLE_OF_FIFTHS, values, "distance")
 
 
 def analogy_angle_matrix(
@@ -204,4 +203,4 @@ def analogy_angle_matrix(
     values[keys, keys] = 0.0
     for i, j in itertools.combinations(keys.tolist(), 2):
         values[i, j] = values[j, i] = pair_vector_angle(space, *rows[i], *rows[j])
-    return SimilarityMatrix(CIRCLE_OF_FIFTHS, CIRCLE_OF_FIFTHS, values, "degrees")
+    return SimilarityMatrix(CIRCLE_OF_FIFTHS, values, "degrees")

@@ -190,10 +190,6 @@ def cmd_synth(args, cfg: PipelineConfig) -> int:
         k.strip() for k in args.keys.split(",") if k.strip()
     ]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    if not keys:
-        raise ConfigError("key list must not be empty")
-    if not modes:
-        raise ConfigError("mode list must not be empty")
     try:
         paths = synth.synth_corpus(
             out_dir, keys, modes, args.pieces_per_key, args.bars, cfg.seed
@@ -322,8 +318,8 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
     except (MidiParseError, OSError) as exc:
         raise DataError(f"{args.midi_in}: {exc}") from None
     slices = slices_from_piece(piece)
-    substitutes, diagnostics = generator.rewrite_piece(slices, space, cfg)
-    data = generator.emit_midi(piece, substitutes, diagnostics.original)
+    _, diagnostics = generator.rewrite_piece(slices, space, cfg)
+    data = generator.emit_midi(piece, diagnostics.substitute, diagnostics.original)
     with _writing(outputs):
         with open(args.midi_out, "wb") as fh:
             fh.write(data)
@@ -331,7 +327,7 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
             generator.save_diagnostics(args.diagnostics, diagnostics)
             print(f"wrote {args.diagnostics}")
     changed = np.count_nonzero(diagnostics.original != diagnostics.substitute)
-    print(f"substituted {changed} of {len(diagnostics)} beats; wrote {args.midi_out}")
+    print(f"substituted {changed} of {len(diagnostics.original)} beats; wrote {args.midi_out}")
     return EXIT_OK
 
 

@@ -139,14 +139,8 @@ def nearest_rows(space: EmbeddingSpace, queries, n: int, exclude_self=True, excl
     return ids, dists
 
 
-def nearest(
-    space: EmbeddingSpace,
-    query: int,
-    n: int,
-    exclude_self: bool = True,
-    exclude_unk: bool = True,
-) -> list[tuple[int, float]]:
-    """The n tokens closest to the query by cosine distance, ascending.
+def nearest(space: EmbeddingSpace, query: int, n: int) -> list[tuple[int, float]]:
+    """The n tokens other than the query and UNK closest to it by cosine distance, ascending.
 
     Exhaustive scan over the space; ties are broken by canonical-form
     lexicographic order. Asking for more tokens than remain after the
@@ -156,8 +150,7 @@ def nearest(
         raise KeyError(f"token id {query} out of range")
     if n < 1:
         raise ValueError("n must be >= 1")
-    unk = space.row_of[N_MASKS:] if exclude_unk else ()
-    ids, dists = nearest_rows(space, [query], n, exclude_self, unk)
+    ids, dists = nearest_rows(space, [query], n, exclude=space.row_of[N_MASKS:])
     return [(i, d) for i, d in zip(ids[0].tolist(), dists[0].tolist()) if d < math.inf]
 
 

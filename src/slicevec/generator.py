@@ -21,7 +21,6 @@ from .midi import MidiPiece, write_smf
 from .slicer import N_MASKS, SLICES, Slice, beat_masks, write_lines
 
 RENDER_BASE_PITCH = 60  # substituted beats render in octave 4
-RENDER_VELOCITY = 80
 
 
 @dataclass(frozen=True)
@@ -105,29 +104,15 @@ def substitute_slice(s: Slice, space: EmbeddingSpace, config: GeneratorConfig) -
 
 
 @dataclass(frozen=True)
-class BeatDiagnostic:
-    beat: int
-    original: str
-    substitute: str
-    cosine_distance: float | None
+class BeatDiagnostics:
+    """A rewrite's record: each beat's original and substitute mask, and beat b's
+    Substitution subs[which[b]], one Substitution per distinct slice."""
+
+    original: np.ndarray
+    substitute: np.ndarray
+    subs: list[Substitution]
+    which: np.ndarray
     top_n: int
-
-
-class BeatDiagnostics(Sequence):
-    """Each beat's BeatDiagnostic, built when read: beat b's comes from subs[which[b]], one
-    Substitution per distinct slice. original and substitute are the beats' masks."""
-
-    def __init__(self, original, subs: list[Substitution], which: np.ndarray, top_n: int):
-        self.original, self.subs, self.which, self.top_n = original, subs, which, top_n
-        self.substitute = np.array([sub.result for sub in subs], dtype=np.intp)[which]
-
-    def __len__(self) -> int:
-        return len(self.which)
-
-    def __getitem__(self, beat: int) -> BeatDiagnostic:
-        beat = range(len(self))[beat]
-        sub = self.subs[self.which[beat]]
-        return BeatDiagnostic(beat, sub.original.form, sub.result.form, sub.distance, self.top_n)
 
 
 def rewrite_piece(
@@ -139,8 +124,10 @@ def rewrite_piece(
     _, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
     order = np.argsort(first)
     subs = _substitutions(masks[first[order]], space, config)
-    diagnostics = BeatDiagnostics(masks, subs, np.argsort(order)[inverse], config.top_n)
-    return [SLICES[m] for m in diagnostics.substitute.tolist()], diagnostics
+    which = np.argsort(order)[inverse]
+    substitute = np.array([sub.result for sub in subs], dtype=np.intp)[which]
+    diagnostics = BeatDiagnostics(masks, substitute, subs, which, config.top_n)
+    return [SLICES[m] for m in substitute.tolist()], diagnostics
 
 
 def save_diagnostics(path: str, diagnostics: BeatDiagnostics) -> None:
@@ -154,7 +141,7 @@ def save_diagnostics(path: str, diagnostics: BeatDiagnostics) -> None:
     write_lines(path, ["beat,original,substitute,cosine_distance,top_n", *lines], "\r\n")
 
 
-def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice], originals=None) -> bytes:
+def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice] | np.ndarray, originals=None) -> bytes:
     """Render the substituted piece back to SMF bytes (originals: its beat masks, if known).
 
     Beats whose substitute differs from the original slice render their
@@ -187,4 +174,4 @@ def emit_midi(piece: MidiPiece, substitutes: Sequence[Slice], originals=None) ->
     beat = np.flatnonzero(changed)[beat] * tpb
     rendered = np.stack((RENDER_BASE_PITCH + pc, beat, beat + tpb, 0 * pc), axis=1)
     rows = np.concatenate((rows[rows[:, 2] > rows[:, 1]], rendered.astype(np.int64)))
-    return write_smf(rows, tpb, velocity=RENDER_VELOCITY)
+    return write_smf(rows, tpb)

@@ -359,32 +359,24 @@ MAX_VARLEN = (1 << 28) - 1  # largest value a 4-byte variable-length quantity ho
 _VARLEN_SHIFTS = np.array([21, 14, 7, 0])
 # MAX_VARLEN ticks, then an empty text meta event
 _FILLER = np.array([0xFF, 0xFF, 0xFF, 0x7F, 0xFF, 0x01, 0x00], dtype=np.uint8)
+VELOCITY = 80  # of every note-on write_smf writes
+TEMPO_US_PER_BEAT = 500_000  # 120 beats a minute
 
 
-def write_smf(
-    notes: np.ndarray | Sequence[Sequence[int]],
-    ticks_per_beat: int,
-    *,
-    velocity: int = 80,
-    tempo_us_per_beat: int = 500_000,
-) -> bytes:
+def write_smf(notes: np.ndarray | Sequence[Sequence[int]], ticks_per_beat: int) -> bytes:
     """Serialize (pitch, onset, offset, channel) note rows as a single-track SMF format 0 file.
 
     Messages are emitted in (tick, off-before-on, channel, pitch) order so the
-    byte stream is deterministic. All note-ons carry the same velocity; the
-    pipeline does not model dynamics. ValueError is raised for a row with
-    pitch outside 0..127, channel outside 0..15, offset <= onset or onset < 0,
-    and for a ticks_per_beat outside 1..0x7FFF (0x8000 marks SMPTE time) or a
-    tempo outside 1..0xFFFFFF. parse_midi reads delta times of at most 4 bytes,
-    so a gap of more than MAX_VARLEN ticks is split by an empty text event
-    after every MAX_VARLEN ticks.
+    byte stream is deterministic. Every note-on carries VELOCITY and the tempo
+    is TEMPO_US_PER_BEAT: the pipeline models neither dynamics nor tempo.
+    ValueError is raised for a row with pitch outside 0..127, channel outside
+    0..15, offset <= onset or onset < 0, and for a ticks_per_beat outside
+    1..0x7FFF (0x8000 marks SMPTE time). parse_midi reads delta times of at
+    most 4 bytes, so a gap of more than MAX_VARLEN ticks is split by an empty
+    text event after every MAX_VARLEN ticks.
     """
     if not 1 <= ticks_per_beat <= 0x7FFF:
         raise ValueError(f"ticks_per_beat {ticks_per_beat} outside 1..0x7FFF")
-    if not 1 <= tempo_us_per_beat <= 0xFFFFFF:
-        raise ValueError(f"tempo_us_per_beat {tempo_us_per_beat} outside 1..0xFFFFFF")
-    if not 1 <= velocity <= 127:
-        raise ValueError(f"velocity {velocity} outside 1..127")
     notes = np.asarray(notes, dtype=np.int64).reshape(-1, 4)
     pitch, onset, offset, channel = notes.T
     bad = (pitch < 0) | (pitch > 127) | (channel < 0) | (channel > 15) | (offset <= onset)
@@ -405,10 +397,10 @@ def write_smf(
     last = np.cumsum(fill + 1) - 1  # the event index of each message
     events = np.tile(_FILLER, (len(delta) + fill.sum(), 1))
     events[last, :4] = (delta[:, None] >> _VARLEN_SHIFTS) & 0x7F | [0x80, 0x80, 0x80, 0]
-    events[last, 4:] = np.stack((0x80 | is_on << 4 | channel, pitch, is_on * velocity), 1)[order]
+    events[last, 4:] = np.stack((0x80 | is_on << 4 | channel, pitch, is_on * VELOCITY), 1)[order]
     keep = np.ones(events.shape, dtype=bool)
     keep[last, :3] = delta[:, None] >= 1 << _VARLEN_SHIFTS[:3]
-    track = b"\x00\xff\x51\x03" + struct.pack(">I", tempo_us_per_beat)[1:]
+    track = b"\x00\xff\x51\x03" + struct.pack(">I", TEMPO_US_PER_BEAT)[1:]
     track += events[keep].tobytes() + b"\x00\xff\x2f\x00"
     header = b"MThd" + struct.pack(">IHHH", 6, 0, 1, ticks_per_beat)
     return header + b"MTrk" + struct.pack(">I", len(track)) + track

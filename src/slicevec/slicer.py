@@ -343,6 +343,8 @@ def load_vocabulary(path: str) -> Vocabulary:
             raise ValueError(f"{path}: ids not contiguous at {token}")
         if count < 0:
             raise ValueError(f"{path}: negative count for id {token}")
+        if count >= 1 << 63:  # counts_array holds int64
+            raise ValueError(f"{path}: count out of range for id {token}")
         if token == 0:
             if form != UNK_FORM:
                 raise ValueError(f"{path}: token 0 must be {UNK_FORM}, got {form}")

@@ -27,7 +27,6 @@ from .midi import MAX_BEATS, BeatGrid, write_smf
 TICKS_PER_BEAT = 480
 BEATS_PER_BAR = 4
 BASE_PITCH = 60  # octave 4
-VELOCITY = 80
 
 _MODE_CODE = {MAJOR: 0, MINOR: 1}
 
@@ -201,6 +200,10 @@ def synth_corpus(
     from (seed, key root, mode, piece index), so regenerating any subset
     reproduces identical files.
     """
+    if not keys:
+        raise ValueError("key list must not be empty")
+    if not modes:
+        raise ValueError("mode list must not be empty")
     if pieces_per_key < 1:
         raise ValueError("pieces_per_key must be >= 1")
     if seed < 0:  # piece_rng seeds numpy, which takes no negative seed
@@ -208,8 +211,6 @@ def synth_corpus(
     n_beats = n_bars * BEATS_PER_BAR
     if n_beats > MAX_BEATS:  # parse_midi would refuse the files
         raise ValueError(f"{n_bars} bars are {n_beats} beats, beyond the {MAX_BEATS}-beat limit")
-    if not keys:
-        raise ValueError("key list must not be empty")
     for key in keys:
         if key not in PC_OF_NAME:
             raise ValueError(f"unknown key {key!r} (expected one of {CIRCLE_OF_FIFTHS})")
@@ -225,7 +226,7 @@ def synth_corpus(
                 rng = piece_rng(seed, root_pc, mode, index)
                 beats = generate_piece(root_pc, mode, n_bars, rng)
                 notes, _ = piece_notes(beats)
-                data = write_smf(notes, TICKS_PER_BEAT, velocity=VELOCITY)
+                data = write_smf(notes, TICKS_PER_BEAT)
                 path = os.path.join(out_dir, key_filename(key, mode, index))
                 with open(path, "wb") as fh:
                     fh.write(data)

@@ -34,7 +34,7 @@ def load_matrix(path: str) -> SimilarityMatrix:
         header = next(reader, None)
         if not header or header[0] != "":
             raise ValueError(f"{path}: not a labeled matrix CSV")
-        col_labels = tuple(header[1:])
+        labels = tuple(header[1:])
         row_labels = []
         rows = []
         for line in reader:
@@ -42,4 +42,6 @@ def load_matrix(path: str) -> SimilarityMatrix:
                 continue
             row_labels.append(line[0])
             rows.append([float(v) if v else math.nan for v in line[1:]])
-    return SimilarityMatrix(tuple(row_labels), col_labels, np.array(rows), units)
+    if tuple(row_labels) != labels:
+        raise ValueError(f"{path}: row labels differ from the column labels")
+    return SimilarityMatrix(labels, np.array(rows), units)

@@ -199,19 +199,18 @@ def write_varlen(value: int) -> bytes:
     return bytes(reversed(out))
 
 
-def write_smf_reference(
-    notes, ticks_per_beat: int, *, velocity: int = 80, tempo_us_per_beat: int = 500_000
-) -> bytes:
-    """write_smf's bytes, one message at a time; the range checks are write_smf's job."""
+def write_smf_reference(notes, ticks_per_beat: int) -> bytes:
+    """write_smf's bytes, one message at a time, every note-on at velocity 80 and the
+    tempo 500,000 us a beat; the range checks are write_smf's job."""
     notes = np.asarray(notes, dtype=np.int64).reshape(-1, 4)
     pitch, onset, offset, channel = notes.T
     is_on = np.repeat([1, 0], len(notes))
     tick, channel, pitch = np.concatenate((onset, offset)), np.tile(channel, 2), np.tile(pitch, 2)
     order = np.lexsort((pitch, channel, is_on, tick))
-    messages = np.stack((0x80 | is_on << 4 | channel, pitch, is_on * velocity), axis=1)
+    messages = np.stack((0x80 | is_on << 4 | channel, pitch, is_on * 80), axis=1)
     raw = messages[order].astype(np.uint8).tobytes()  # 3 bytes per message
 
-    body = bytearray(b"\x00\xff\x51\x03" + struct.pack(">I", tempo_us_per_beat)[1:])
+    body = bytearray(b"\x00\xff\x51\x03" + struct.pack(">I", 500_000)[1:])
     for i, delta in enumerate(np.diff(tick[order], prepend=0).tolist()):
         while delta > MAX_VARLEN:
             body += write_varlen(MAX_VARLEN) + b"\xff\x01\x00"

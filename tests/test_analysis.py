@@ -132,12 +132,12 @@ def test_piece_centroid_skips_oov():
 
 def test_similarity_matrix_shape_validation():
     with pytest.raises(ValueError):
-        SimilarityMatrix(("a", "b"), ("a",), np.zeros((2, 2)))
+        SimilarityMatrix(("a",), np.zeros((2, 2)))
 
 
 def test_similarity_matrix_csv_round_trip(tmp_path):
     values = np.array([[0.0, 0.123456789], [110.83, math.nan]])
-    mat = SimilarityMatrix(("C", "G"), ("C", "G"), values, "degrees")
+    mat = SimilarityMatrix(("C", "G"), values, "degrees")
     path = tmp_path / "mat.csv"
     mat.save_csv(str(path))
     raw = path.read_bytes()
@@ -145,7 +145,7 @@ def test_similarity_matrix_csv_round_trip(tmp_path):
     assert b"0.123457" in raw  # six significant digits
     loaded = load_matrix(str(path))
     assert loaded.units == "degrees"
-    assert loaded.row_labels == ("C", "G") and loaded.col_labels == ("C", "G")
+    assert loaded.labels == ("C", "G")
     assert math.isnan(loaded.values[1, 1])
     assert loaded.values[1, 0] == 110.83
     # serialization is idempotent: save(load(f)) == f
@@ -155,7 +155,7 @@ def test_similarity_matrix_csv_round_trip(tmp_path):
 
 
 def test_similarity_matrix_distance_units_have_no_comment(tmp_path):
-    mat = SimilarityMatrix(("C",), ("C",), np.array([[1e-07]]))
+    mat = SimilarityMatrix(("C",), np.array([[1e-07]]))
     path = tmp_path / "d.csv"
     mat.save_csv(str(path))
     text = path.read_text()
@@ -187,7 +187,7 @@ def test_key_similarity_matrix_orthogonal_oracle():
     mat = key_similarity_matrix(space, [piece], "major")
     expected = np.ones((12, 12)) - np.eye(12)  # all one-hot pairs orthogonal
     assert np.array_equal(mat.values, expected)
-    assert mat.row_labels == CIRCLE_OF_FIFTHS
+    assert mat.labels == CIRCLE_OF_FIFTHS
     assert mat.units == "distance"
 
 

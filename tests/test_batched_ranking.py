@@ -90,7 +90,10 @@ def test_every_acc_main_row_ranks_and_substitutes_as_per_query(acc_main, exclude
     for query, got in enumerate(_rows_as_pairs(ids, dists)):
         want = _nearest_per_query(space, query, space.size, exclude_identity)
         assert _bits(got) == _bits(want), query
-        assert _bits(nearest(space, query, 7, exclude_identity)) == _bits(want[:7])
+        top7 = _rows_as_pairs(*nearest_rows(space, [query], 7, exclude_identity, unk))[0]
+        assert _bits(top7) == _bits(want[:7])
+        if exclude_identity:
+            assert _bits(nearest(space, query, 7)) == _bits(want[:7])
     slices = _space_slices(space)
     for top_n in (1, 5, 20):
         config = GeneratorConfig(top_n=top_n, exclude_identity=exclude_identity)
@@ -104,18 +107,17 @@ def test_duplicate_vectors_tie_in_form_order():
     space = EmbeddingSpace(forms, vectors)
     ranked = [space.form_of(i) for i, _ in nearest(space, 1, 5)]
     assert ranked == ["7", "11", "2", "4"]  # "7" at distance 0, then "11" < "2" < "4"
-    assert [space.form_of(i) for i, _ in nearest(space, 1, 5, exclude_self=False)] == [
-        "0", "7", "11", "2", "4"
-    ]
+    ids, _ = nearest_rows(space, [1], 5, exclude_self=False, exclude=[0])
+    assert [space.form_of(i) for i in ids[0].tolist()] == ["0", "7", "11", "2", "4"]
     ids, dists = nearest_rows(space, [1, 3, 2], 3, exclude=[0])
     assert [[space.form_of(i) for i in row] for row in ids.tolist()] == [
         ["7", "11", "2"], ["0", "11", "2"], ["11", "2", "0"]
     ]
     assert dists.tolist() == [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 1.0]]
     for q in range(space.size):
-        for exclude_unk in (True, False):
-            want = _nearest_per_query(space, q, 9, exclude_unk=exclude_unk)
-            assert _bits(nearest(space, q, 9, exclude_unk=exclude_unk)) == _bits(want)
+        assert _bits(nearest(space, q, 9)) == _bits(_nearest_per_query(space, q, 9))
+        want = _nearest_per_query(space, q, 9, exclude_unk=False)
+        assert _bits(_rows_as_pairs(*nearest_rows(space, [q], 9))[0]) == _bits(want)
 
 
 def test_rest_and_unk_queries():
@@ -126,7 +128,11 @@ def test_rest_and_unk_queries():
         for exclude_unk in (True, False):
             for n in (1, 3, len(forms)):
                 want = _nearest_per_query(space, 0, n, exclude_self, exclude_unk)
-                assert _bits(nearest(space, 0, n, exclude_self, exclude_unk)) == _bits(want)
+                unk = [0] if exclude_unk else []
+                got = _rows_as_pairs(*nearest_rows(space, [0], n, exclude_self, unk))[0]
+                assert _bits(got) == _bits(want)
+                if exclude_self and exclude_unk:  # nearest's exclusions
+                    assert _bits(nearest(space, 0, n)) == _bits(want)
     # UNK ranked as a query with UNK excluded keeps every other row: none is dropped as "self"
     assert len(nearest(space, 0, len(forms))) == len(forms) - 1
     rest = Slice(())

@@ -240,3 +240,24 @@ def test_every_replaced_byte_loads_or_names_its_cache(tmp_path, monkeypatch, cap
             rc = main(command)
             err = capsys.readouterr().err
             assert rc in (0, 2) and err.count("\n") <= 1, (at, chr(byte), rc, err)
+
+
+@pytest.mark.parametrize(
+    "command", [["stats"], ["train", "--dims", "4", "--steps", "5", "--batch-size", "4"]]
+)
+def test_a_vocabulary_count_past_int64_exits_2_in_one_line(tmp_path, monkeypatch, capsys, command):
+    """The trainer reads the counts as int64: 2^63 - 1 loads, 2^63 is refused. UNK's
+    count matches, so that neither token crowds the other out of the noise draws."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
+    _save_corpus("corpus.txt")
+    text = f"SLICEVOCAB v1 2\n0 UNK {2**63 - 1}\n1 0.4.7 {{}}\n"
+    with open("vocab.txt", "w") as fh:
+        fh.write(text.format(2**63 - 1))
+    assert load_vocabulary("vocab.txt").count_of(1) == 2**63 - 1
+    assert main(command) == 0
+    capsys.readouterr()
+    with open("vocab.txt", "w") as fh:
+        fh.write(text.format(2**63))
+    assert main(command) == 2
+    assert capsys.readouterr().err == "data error: vocab.txt: count out of range for id 1\n"

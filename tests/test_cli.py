@@ -16,9 +16,16 @@ import pytest
 from csv_readers import load_matrix
 
 import slicevec
-from slicevec.analysis import CIRCLE_OF_FIFTHS
+from slicevec.analysis import (
+    CIRCLE_OF_FIFTHS,
+    MINOR_ROLES,
+    PC_OF_NAME,
+    ChordSpec,
+    chord_distance_profile,
+)
 from slicevec import cli
 from slicevec.cli import main
+from slicevec.embedding import load_embedding
 from slicevec.midi import parse_midi, write_smf
 from slicevec.trainer import NumericalAbortError
 
@@ -71,7 +78,7 @@ def test_full_pipeline(capsys):
     rc = main(["analyze", "keys", "--pieces-dir", "midi", "--out", "keys.csv"])
     assert rc == 0
     matrix = load_matrix("keys.csv")
-    assert matrix.row_labels == CIRCLE_OF_FIFTHS
+    assert matrix.labels == CIRCLE_OF_FIFTHS
     assert matrix.units == "distance"
 
     rc = main(["analyze", "analogy", "--roles", "I,V", "--out", "analogy.csv"])
@@ -493,6 +500,10 @@ _CACHES = ["--corpus-cache", "{run}/corpus.txt", "--vocab-cache", "{run}/vocab.t
          "config error: 65537 bars are 262148 beats, beyond the 262144-beat limit"),
         (["synth", "--out-dir", "neg", "--keys", "C", "--bars", "2", "--seed", "-1"], 1,
          "config error: seed must be >= 0 for synth, not -1"),
+        (["synth", "--out-dir", "m", "--keys", ""], 1,
+         "config error: key list must not be empty"),
+        (["synth", "--out-dir", "m", "--modes", ","], 1,
+         "config error: mode list must not be empty"),
         (["stats", "--config", "{run}"], 1, "config error: cannot read config file {run}:"),
         (["stats", "--config", "{run}/midi/C_major_00.mid"], 1,
          "config error: cannot read config file {run}/midi/C_major_00.mid: "
@@ -502,7 +513,7 @@ _CACHES = ["--corpus-cache", "{run}/corpus.txt", "--vocab-cache", "{run}/vocab.t
         "generate-midi-out", "generate-diagnostics", "ingest-vocab-cache", "train-loss-csv",
         "analyze-out", "ingest-corpus-cache",
         "train-embedding-path", "synth-out-dir-is-a-file", "synth-beyond-beat-limit",
-        "synth-negative-seed",
+        "synth-negative-seed", "synth-empty-keys", "synth-empty-modes",
         "config-is-a-directory", "config-not-utf8",
     ],
 )
@@ -586,6 +597,23 @@ _ZERO_TONIC = _embedding({"UNK": (1.0, 0.0), "0.4.7": (0.0, 0.0), "2.7.11": (0.0
 _EQUAL_I_V = _embedding(
     {"UNK": (1.0, 0.0), "0.4.7": (0.0, 1.0), "2.7.11": (0.0, 1.0), "2.6.9": (1.0, 1.0)}
 )
+def test_analyze_chords_minor_quality(capsys):
+    # C minor's i and v (0.3.7, 2.7.10) and A minor's i (0.4.9); A minor's v (4.7.11) is absent
+    with open("embedding.txt", "w") as fh:
+        fh.write(_embedding({"UNK": (1.0, 0.0, 0.5), "0.3.7": (0.25, 2.0, -1.0),
+                             "2.7.10": (-3.0, 5.5, 0.125), "0.4.9": (1.5, 0.75, 2.0)}))
+    assert main(["analyze", "chords", "--quality", "minor", "--tonics", "C,A"]) == 0
+    assert capsys.readouterr().err == "warning: v of A is not in the vocabulary\n"
+    space = load_embedding("embedding.txt")
+    lines = open("chords.csv").read().splitlines()
+    assert lines[0] == "tonic,i,v" and len(lines) == 3
+    for line, name in zip(lines[1:], ("C", "A")):
+        profile = chord_distance_profile(space, ChordSpec(PC_OF_NAME[name], "minor"), MINOR_ROLES)
+        cells = ["" if profile[role] is None else f"{profile[role]:.6g}" for role in MINOR_ROLES]
+        assert line == ",".join([name, *cells])
+    assert lines[2] == "A,0,"  # the tonic's own distance, then the empty v cell
+
+
 _C_MAJOR_CHORD = write_smf([(60, 0, 480, 0), (64, 0, 480, 0), (67, 0, 480, 0)], 480)
 # PPQ 0x7FFF; the note-on lies two MAX_VARLEN deltas (around a text event) in,
 # a silence that the rewritten file splits the same way

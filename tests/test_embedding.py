@@ -14,6 +14,7 @@ from slicevec.embedding import (
     cosine_similarity,
     load_embedding,
     nearest,
+    nearest_rows,
     pair_vector_angle,
     save_embedding,
 )
@@ -156,6 +157,13 @@ def _oracle_distance(q, c):
     return 1.0 - min(1.0, max(-1.0, dot / (nq * nc)))
 
 
+def _ranked(space, query, n, exclude_self, exclude_unk):
+    """One query's (id, distance) list through nearest_rows, with the chosen exclusions."""
+    unk = [space.unk_id] if exclude_unk and space.unk_id is not None else []
+    ids, dists = nearest_rows(space, [query], n, exclude_self, unk)
+    return [(i, d) for i, d in zip(ids[0].tolist(), dists[0].tolist()) if d < math.inf]
+
+
 def test_nearest_matches_brute_force_oracle():
     # integer-valued vectors keep oracle and implementation math bit-equal,
     # so rankings must agree exactly, ties included
@@ -178,8 +186,10 @@ def test_nearest_matches_brute_force_oracle():
             dist = _oracle_distance(space.vector(query), space.vector(cand))
             expected.append((dist, space.form_of(cand), cand))
         expected.sort()
-        got = nearest(space, query, n, exclude_self=exclude_self, exclude_unk=exclude_unk)
+        got = _ranked(space, query, n, exclude_self, exclude_unk)
         assert got == [(cand, dist) for dist, _, cand in expected[:n]]
+        if exclude_self and exclude_unk:  # nearest's exclusions
+            assert nearest(space, query, n) == got
 
 
 def test_nearest_breaks_ties_by_form():
@@ -191,7 +201,7 @@ def test_nearest_breaks_ties_by_form():
 
 def test_nearest_edge_cases():
     space = EmbeddingSpace(["0", "4", "7"], np.eye(3))
-    assert nearest(space, 0, 1, exclude_self=False)[0] == (0, 0.0)
+    assert _ranked(space, 0, 1, exclude_self=False, exclude_unk=True)[0] == (0, 0.0)
     assert len(nearest(space, 0, 99)) == 2
     assert nearest(EmbeddingSpace(["0"], np.ones((1, 2))), 0, 3) == []
     with pytest.raises(ValueError):
@@ -202,7 +212,7 @@ def test_nearest_edge_cases():
     zero_unk = EmbeddingSpace(["UNK", "0", "4"], np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert nearest(zero_unk, 1, 5) == [(2, 1.0)]
     with pytest.raises(ValueError, match="zero vector"):
-        nearest(zero_unk, 1, 5, exclude_unk=False)
+        nearest_rows(zero_unk, [1], 5)
 
 
 def test_pair_vector_angle_right_angles():

@@ -14,8 +14,6 @@ from midi_oracle import note_array, sounding_pitches
 from slicevec.embedding import EmbeddingSpace
 from slicevec.generator import (
     RENDER_BASE_PITCH,
-    RENDER_VELOCITY,
-    BeatDiagnostic,
     GeneratorConfig,
     Substitution,
     emit_midi,
@@ -222,12 +220,13 @@ def test_rewrite_piece_diagnostics():
     )
     piece = [Slice((0,)), Slice((1, 2))]  # second is OOV
     out, diags = rewrite_piece(piece, space, GeneratorConfig(top_n=2))
-    assert len(out) == len(diags) == 2
-    assert diags[0].beat == 0 and diags[1].beat == 1
-    assert diags[0].original == "0" and diags[0].substitute == out[0].form
-    assert diags[0].cosine_distance is not None
-    assert diags[1].substitute == "1.2" and diags[1].cosine_distance is None
-    assert all(d.top_n == 2 for d in diags)
+    first, second = (diags.subs[i] for i in diags.which)
+    assert len(out) == len(diags.which) == 2
+    assert diags.original.tolist() == piece and diags.substitute.tolist() == out
+    assert first.original.form == "0" and first.result == out[0]
+    assert first.distance is not None
+    assert second.result.form == "1.2" and second.distance is None
+    assert diags.top_n == 2
 
 
 def test_rewrite_piece_equals_per_beat_substitution():
@@ -243,10 +242,9 @@ def test_rewrite_piece_equals_per_beat_substitution():
     out, diags = rewrite_piece(piece, space, config)
     subs = [substitute_slice(s, space, config) for s in piece]
     assert out == [sub.result for sub in subs]
-    assert list(diags) == [
-        BeatDiagnostic(beat, s.form, sub.result.form, sub.distance, 4)
-        for beat, (s, sub) in enumerate(zip(piece, subs))
-    ]
+    assert [diags.subs[i] for i in diags.which] == subs
+    assert diags.original.tolist() == piece and diags.substitute.tolist() == out
+    assert diags.top_n == 4
     assert len(set(piece)) < len(piece)
 
 
@@ -262,7 +260,7 @@ def test_save_diagnostics_csv(tmp_path):
     assert lines[0] == "beat,original,substitute,cosine_distance,top_n"
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
-    assert float(first[3]) == diags[0].cosine_distance  # repr round-trips
+    assert float(first[3]) == diags.subs[diags.which[0]].distance  # repr round-trips
     second = lines[2].split(",")
     assert second[1] == "1.2" and second[3] == ""  # None -> empty field
 
@@ -380,7 +378,7 @@ def _emit_midi_walk(piece, substitutes):
         if changed[b]:
             for pc in substitutes[b].pitch_classes:
                 rows.append((RENDER_BASE_PITCH + pc, b * tpb, (b + 1) * tpb, 0))
-    return write_smf(rows, tpb, velocity=RENDER_VELOCITY)
+    return write_smf(rows, tpb)
 
 
 def test_emit_midi_matches_the_beat_walk_on_random_pieces():
@@ -440,7 +438,7 @@ def test_a_long_piece_matches_per_beat_substitution(tiny_space, tmp_path):
         subs = [substitute_slice(s, tiny_space, config) for s in slices]
     assert out == [sub.result for sub in subs]
     assert 0 < sum(sub.distance is None for sub in subs) < len(subs)
-    assert len(diags) == len(slices) and diags[-1] == diags[len(slices) - 1]
+    assert len(diags.which) == len(slices)
     path = tmp_path / "diag.csv"
     save_diagnostics(str(path), diags)
     want = ["beat,original,substitute,cosine_distance,top_n"] + [
@@ -450,4 +448,5 @@ def test_a_long_piece_matches_per_beat_substitution(tiny_space, tmp_path):
     assert path.read_bytes() == "".join(f"{line}\r\n" for line in want).encode()
     data = emit_midi(piece, out)
     assert data == emit_midi(piece, out, diags.original) == _emit_midi_walk(piece, out)
+    assert emit_midi(piece, diags.substitute, diags.original) == data  # as generate calls it
     assert slices_from_piece(parse_midi(data)) == out

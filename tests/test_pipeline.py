@@ -60,8 +60,8 @@ def test_tiny_space_rewrites_a_fresh_piece(tiny_space):
         warnings.simplefilter("ignore")
         out, diags = rewrite_piece(slices, tiny_space, GeneratorConfig(top_n=5))
     assert len(out) == len(slices)
-    for original, result, diag in zip(slices, out, diags):
-        if diag.cosine_distance is None:
+    for original, result, which in zip(slices, out, diags.which):
+        if diags.subs[which].distance is None:
             assert result == original  # OOV or empty pool passes through
         else:
             assert result.form in tiny_space

@@ -224,8 +224,10 @@ def test_synth_corpus_validation(tmp_path):
         synth_corpus(str(tmp_path), ["C"], ["ionian"], 1, 4, seed=1)
     with pytest.raises(ValueError):
         synth_corpus(str(tmp_path), ["C"], ["major"], 0, 4, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="key list must not be empty"):
         synth_corpus(str(tmp_path), [], ["major"], 1, 4, seed=1)
+    with pytest.raises(ValueError, match="mode list must not be empty"):
+        synth_corpus(str(tmp_path), ["C"], [], 1, 4, seed=1)
 
 
 def test_synth_corpus_refuses_pieces_parse_midi_refuses(tmp_path):
