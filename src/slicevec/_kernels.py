@@ -3,9 +3,8 @@
 trainer.train and the batch API (sgd_step, neg_sample) share these
 helpers, so both paths make the same bytes; the pairs come from
 trainer.BatchCursor. A step works on a whole batch at once: every negative
-draw of the batch at once, repaired after each rejection. The draws are
-read in blocks from an rng.Rng, and are those its one-value-at-a-time
-methods would give.
+draw of the batch at once, repaired after each rejection, read in blocks
+from one rng.Rng stream in the order that one draw at a time takes them.
 """
 
 from __future__ import annotations

@@ -252,7 +252,7 @@ def _analyze_chords(args, space: EmbeddingSpace, out: str) -> int:
         try:
             profile = analysis.chord_distance_profile(space, tonic, roles)
         except KeyError as exc:
-            raise DataError(str(exc)) from None
+            raise DataError(exc.args[0]) from None  # str() of a KeyError quotes it
         cells = []
         for role in roles:
             value = profile[role]

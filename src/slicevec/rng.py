@@ -1,11 +1,10 @@
 """Deterministic 64-bit PRNG used by training.
 
-xorshift64* seeded through one round of splitmix64. ``Rng`` draws its stream
-one value per call (``next_u64``, ``next_float``, ``below``: plain Python
-ints masked to 64 bits, the reference) or a block at a time (``peek``,
-``skip``, ``u64``, ``floats``, ``below_each``: numpy, bit for bit the same
-values), so a batch's contents and negative samples are those of the
-one-value walk.
+xorshift64* seeded through one round of splitmix64. ``Rng`` is one stream,
+read in numpy blocks (``peek``, ``skip``, ``u64``, ``floats``,
+``below_each``); its ``state`` is the state after the last value consumed.
+Every value is the one that stepping ``_step`` once per value from that state
+gives; tests/rng_oracle.py is that one-value walk.
 
 xorshift64* updates its state by a linear map over GF(2) (Marsaglia 2003,
 "Xorshift RNGs"; Vigna 2016, arXiv:1402.6246), so the state k steps ahead is
@@ -59,10 +58,9 @@ class Rng:
     """xorshift64* stream. Cheap, reproducible, not cryptographic.
 
     state is always the state after the last value consumed (read it; start
-    a stream elsewhere with from_state). The block methods buffer values
-    ahead of it, to look at (peek) before consuming (skip); a scalar draw
-    drops the buffer, and the next block resumes from state. A refill appends
-    whole 16,384-value blocks, so even a fresh stream's first draw builds one.
+    a stream elsewhere with from_state). Values are buffered ahead of it, to
+    look at (peek) before consuming (skip). A refill appends whole
+    16,384-value blocks, so even a fresh stream's first draw builds one.
     """
 
     __slots__ = ("state", "_raw", "_pos")
@@ -79,21 +77,8 @@ class Rng:
         return rng
 
     def next_u64(self) -> int:
-        self._raw, self._pos = _EMPTY, 0
-        self.state = x = _step(self.state)
-        return (x * STAR_MULT) & MASK64
-
-    def next_float(self) -> float:
-        """Uniform float64 in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _INV53
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n). Consumes no output when n == 1."""
-        if n <= 1:
-            if n == 1:
-                return 0
-            raise ValueError(f"below() needs n >= 1, got {n}")
-        return self.next_u64() % n
+        """The next output, consumed: a one-value block read."""
+        return int(self.u64(1)[0])
 
     def _ensure(self, n: int) -> None:
         have = len(self._raw) - self._pos
@@ -121,20 +106,22 @@ class Rng:
         self.state = int(self._raw[self._pos - 1])
 
     def u64(self, n: int) -> np.ndarray:
-        """The next n next_u64 outputs, consumed."""
+        """The next n outputs, consumed."""
         out = self.peek(n)
         self.skip(n)
         return out
 
     def floats(self, n: int) -> np.ndarray:
-        """The next n next_float outputs, consumed."""
+        """The next n outputs as floats in [0, 1) (see to_floats), consumed."""
         return to_floats(self.u64(n))
 
     def below_each(self, bounds: np.ndarray) -> np.ndarray:
-        """below(n) for each n in bounds, in order; n == 1 consumes nothing."""
-        bounds = np.asarray(bounds, dtype=np.uint64)
+        """A uniform integer in [0, n) for each n in bounds, in order: the next
+        output modulo n, where n == 1 consumes no output and gives 0."""
+        bounds = np.asarray(bounds)
         if (bounds < 1).any():
-            raise ValueError("below() needs n >= 1")
+            raise ValueError("below_each() needs every n >= 1")
+        bounds = bounds.astype(np.uint64)
         drawn = bounds > 1
         out = np.zeros(len(bounds), dtype=np.uint64)
         out[drawn] = self.u64(int(np.count_nonzero(drawn))) % bounds[drawn]
@@ -184,7 +171,7 @@ def _lane_block(start: int) -> np.ndarray:
 
 
 def to_floats(u64: np.ndarray) -> np.ndarray:
-    """53-bit floats in [0, 1) from u64 outputs, as Rng.next_float makes them."""
+    """Floats in [0, 1) from u64 outputs: each output's top 53 bits times 2**-53."""
     out = (u64 >> _U11).astype(np.float64)
     out *= _INV53
     return out

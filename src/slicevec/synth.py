@@ -206,6 +206,8 @@ def synth_corpus(
         raise ValueError("mode list must not be empty")
     if pieces_per_key < 1:
         raise ValueError("pieces_per_key must be >= 1")
+    if n_bars < 1:
+        raise ValueError(f"bars must be >= 1, not {n_bars}")
     if seed < 0:  # piece_rng seeds numpy, which takes no negative seed
         raise ValueError(f"seed must be >= 0 for synth, not {seed}")
     n_beats = n_bars * BEATS_PER_BAR

@@ -504,6 +504,10 @@ _CACHES = ["--corpus-cache", "{run}/corpus.txt", "--vocab-cache", "{run}/vocab.t
          "config error: key list must not be empty"),
         (["synth", "--out-dir", "m", "--modes", ","], 1,
          "config error: mode list must not be empty"),
+        (["synth", "--out-dir", "zero", "--keys", "C", "--bars", "0"], 1,
+         "config error: bars must be >= 1, not 0"),
+        (["synth", "--out-dir", "minus", "--keys", "C", "--bars", "-1"], 1,
+         "config error: bars must be >= 1, not -1"),
         (["stats", "--config", "{run}"], 1, "config error: cannot read config file {run}:"),
         (["stats", "--config", "{run}/midi/C_major_00.mid"], 1,
          "config error: cannot read config file {run}/midi/C_major_00.mid: "
@@ -514,7 +518,7 @@ _CACHES = ["--corpus-cache", "{run}/corpus.txt", "--vocab-cache", "{run}/vocab.t
         "analyze-out", "ingest-corpus-cache",
         "train-embedding-path", "synth-out-dir-is-a-file", "synth-beyond-beat-limit",
         "synth-negative-seed", "synth-empty-keys", "synth-empty-modes",
-        "config-is-a-directory", "config-not-utf8",
+        "synth-zero-bars", "synth-negative-bars", "config-is-a-directory", "config-not-utf8",
     ],
 )
 def test_unreadable_config_and_unwritable_outputs_exit_in_one_line(
@@ -660,6 +664,28 @@ def test_measured_inputs_and_settings_fail_in_one_line(capsys, files, argv, code
         return
     assert err.splitlines()[-1].startswith(prefix)
     assert not os.path.exists("out.mid")
+
+
+def test_analyze_chords_names_a_missing_tonic_unquoted(capsys):
+    with open("embedding.txt", "w") as fh:
+        fh.write(_embedding({"UNK": (1.0, 0.0), "2.7.11": (0.0, 1.0), "2.6.9": (1.0, 1.0)}))
+    assert main(["analyze", "chords", "--tonics", "C"]) == 2
+    assert capsys.readouterr().err == "data error: tonic slice 0.4.7 is not in the vocabulary\n"
+    assert not os.path.exists("chords.csv")
+
+
+def test_generate_on_a_piece_with_no_notes_writes_empty_outputs(capsys):
+    with open("embedding.txt", "w") as fh:
+        fh.write(_EQUAL_I_V)
+    with open("in.mid", "wb") as fh:
+        fh.write(write_smf([], 480))
+    argv = ["generate", "--midi-in", "in.mid", "--midi-out", "out.mid", "--diagnostics", "diag.csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "substituted 0 of 0 beats; wrote out.mid"
+    assert open("diag.csv").read().splitlines() == ["beat,original,substitute,cosine_distance,top_n"]
+    with open("out.mid", "rb") as fh:
+        piece = parse_midi(fh.read())
+    assert len(piece.notes) == 0 and piece.grid.piece_length_beats == 0
 
 
 def test_analyze_rejects_trailing_embedding_line(capsys):

@@ -1,4 +1,4 @@
-"""PRNG reference vectors, distribution sanity, and block draws matching scalar draws."""
+"""PRNG reference vectors, distribution sanity, and block draws matching the one-value walk."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from rng_oracle import ScalarRng
 
 from slicevec.rng import (
     GOLDEN,
@@ -74,51 +75,39 @@ def test_zero_state_is_remapped():
 
 
 def test_float53_construction():
-    rng = Rng.from_state(1)
-    for bits in XORSHIFT_FROM_STATE_1:
-        assert rng.next_float() == (bits >> 11) * 2.0**-53
+    floats = Rng.from_state(1).floats(len(XORSHIFT_FROM_STATE_1)).tolist()
+    assert floats == [(bits >> 11) * 2.0**-53 for bits in XORSHIFT_FROM_STATE_1]
 
 
 def test_float_range():
-    rng = Rng(77)
-    for _ in range(5000):
-        f = rng.next_float()
-        assert 0.0 <= f < 1.0
+    f = Rng(77).floats(5000)
+    assert ((0.0 <= f) & (f < 1.0)).all()
 
 
 def test_below_bounds_and_coverage():
     rng = Rng(9)
     for n in (2, 3, 5, 8):
-        seen = set()
-        for _ in range(64 * n):
-            v = rng.below(n)
-            assert 0 <= v < n
-            seen.add(v)
-        assert seen == set(range(n))
+        assert set(rng.below_each(np.full(64 * n, n)).tolist()) == set(range(n))
 
 
 def test_below_one_consumes_nothing():
     rng = Rng(4)
     before = rng.state
-    assert rng.below(1) == 0
+    assert rng.below_each(np.array([1])).tolist() == [0]
     assert rng.state == before
 
 
 def test_below_rejects_nonpositive():
     rng = Rng(4)
-    with pytest.raises(ValueError):
-        rng.below(0)
-    with pytest.raises(ValueError):
-        rng.below(-3)
+    for bounds in ([0], [-3], np.array([-3])):  # an int64 -3 must not wrap to 2**64 - 3
+        with pytest.raises(ValueError):
+            rng.below_each(bounds)
 
 
 def test_below_roughly_uniform():
-    rng = Rng(123)
     n = 8
     draws = 16000
-    buckets = [0] * n
-    for _ in range(draws):
-        buckets[rng.below(n)] += 1
+    buckets = np.bincount(Rng(123).below_each(np.full(draws, n)).astype(np.int64), minlength=n)
     expected = draws / n
     for count in buckets:
         assert abs(count - expected) < 0.2 * expected
@@ -134,7 +123,7 @@ BLOCK = MAX_LANES * MAX_SPACING
 
 
 def _take(block, ref, kind, n, rnd):
-    """n values of one kind from block's block methods and from ref's scalar ones."""
+    """n values of one kind from block's block methods and from the walk ref."""
     if kind == "u64":
         return block.u64(n).tolist(), [ref.next_u64() for _ in range(n)]
     if kind == "float":
@@ -147,7 +136,7 @@ def test_block_stream_matches_rng_at_random_states_and_offsets():
     rnd = random.Random(41)
     states = [0, 1, GOLDEN, MASK64] + [rnd.getrandbits(64) for _ in range(8)]
     for state in states:
-        ref = Rng.from_state(state)
+        ref = ScalarRng.from_state(state)
         block = Rng.from_state(state)
         for _ in range(12):
             kind = rnd.choice(("u64", "float", "below"))
@@ -160,7 +149,7 @@ def test_block_stream_matches_rng_at_random_states_and_offsets():
 def test_block_stream_from_zero_state_starts_at_golden():
     block = Rng.from_state(0)
     assert block.state == GOLDEN
-    ref = Rng.from_state(GOLDEN)
+    ref = ScalarRng.from_state(GOLDEN)
     assert block.u64(100).tolist() == [ref.next_u64() for _ in range(100)]
     assert block.state == ref.state
 
@@ -168,7 +157,7 @@ def test_block_stream_from_zero_state_starts_at_golden():
 def test_block_stream_matches_rng_across_lane_and_block_refills():
     # sizes that end exactly on, and one past, a lane, a full block and the
     # point where consumption crosses into the next block
-    ref = Rng(8)
+    ref = ScalarRng(8)
     block = Rng(8)
     for n in (MAX_SPACING, 1, BLOCK - 1, 2, BLOCK, 3 * MAX_SPACING + 1, BLOCK + 7, 1):
         assert block.u64(n).tolist() == [ref.next_u64() for _ in range(n)], n
@@ -176,7 +165,7 @@ def test_block_stream_matches_rng_across_lane_and_block_refills():
 
 
 def test_block_stream_peek_consumes_nothing():
-    ref = Rng(12)
+    ref = ScalarRng(12)
     block = Rng(12)
     ahead = block.peek(3000).tolist()
     assert block.state == Rng(12).state
@@ -192,8 +181,8 @@ def test_block_stream_follows_direct_steps_of_its_rng():
     rng = Rng(13)
     first = rng.u64(5).tolist()
     rng.peek(2000)  # buffered ahead of the state
-    direct = rng.next_u64()
-    ref = Rng(13)
+    direct = rng.next_u64()  # a one-value read takes the first buffered value
+    ref = ScalarRng(13)
     assert first == [ref.next_u64() for _ in range(5)]
     assert direct == ref.next_u64()
     assert rng.u64(100).tolist() == [ref.next_u64() for _ in range(100)]
@@ -203,15 +192,15 @@ def test_block_stream_follows_direct_steps_of_its_rng():
 def test_block_and_scalar_draws_mixed_on_one_rng_match_scalar_draws():
     rnd = random.Random(47)
     for seed in range(6):
-        mixed, ref = Rng(seed), Rng(seed)
+        mixed, ref = Rng(seed), ScalarRng(seed)
         for _ in range(60):
             kind = rnd.choice(("u64", "float", "below", "peek", "skip", "next_u64",
-                               "next_float", "scalar_below"))
+                               "one_float", "one_below"))
             n = rnd.choice((0, 1, 2, 5, 63, 64, 65, 700, BLOCK + 3))
             if kind in ("u64", "float", "below"):
                 got, expected = _take(mixed, ref, kind, n, rnd)
             elif kind == "peek":
-                probe = Rng.from_state(ref.state)
+                probe = ScalarRng.from_state(ref.state)
                 got, expected = mixed.peek(n).tolist(), [probe.next_u64() for _ in range(n)]
             elif kind == "skip":
                 mixed.skip(n)
@@ -220,11 +209,11 @@ def test_block_and_scalar_draws_mixed_on_one_rng_match_scalar_draws():
                 got = expected = n
             elif kind == "next_u64":
                 got, expected = mixed.next_u64(), ref.next_u64()
-            elif kind == "next_float":
-                got, expected = mixed.next_float(), ref.next_float()
+            elif kind == "one_float":
+                got, expected = mixed.floats(1)[0], ref.next_float()
             else:
                 bound = rnd.choice((1, 2, 3, 100, 2**64 - 1))
-                got, expected = mixed.below(bound), ref.below(bound)
+                got, expected = mixed.below_each([bound])[0], ref.below(bound)
             assert got == expected, (seed, kind, n)
             assert mixed.state == ref.state, (seed, kind, n)
 
@@ -235,8 +224,8 @@ def test_block_stream_below_rejects_nonpositive():
 
 
 def _scalar(state, n):
-    """n next_u64 outputs from state, and the state after them."""
-    ref = Rng.from_state(state)
+    """n outputs of the walk from state, and the state after them."""
+    ref = ScalarRng.from_state(state)
     return [ref.next_u64() for _ in range(n)], ref.state
 
 

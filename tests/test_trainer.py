@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 from csv_readers import load_loss_trace
+from rng_oracle import ScalarRng
 
 from slicevec.rng import Rng
 from slicevec.slicer import EncodedCorpus, Slice, Vocabulary
@@ -57,8 +58,8 @@ def test_with_overrides():
 def test_initialize_consumes_rng_row_major():
     dims, size, seed = 5, 4, 99
     emb = EmbeddingMatrix.initialize(size, dims, Rng(seed))
-    rng = Rng(seed)
-    expected = [(rng.next_float() - 0.5) / dims for _ in range(size * dims)]
+    ref = ScalarRng(seed)
+    expected = [(ref.next_float() - 0.5) / dims for _ in range(size * dims)]
     assert emb.input_vectors.flatten().tolist() == expected
     assert not emb.output_vectors.any()
     assert emb.input_vectors.max() < 0.5 / dims
@@ -70,7 +71,7 @@ def test_initialize_matches_scalar_stream_across_blocks():
     size, dims, seed = 300, 256, 5
     rng = Rng(seed)
     emb = EmbeddingMatrix.initialize(size, dims, rng)
-    ref = Rng(seed)
+    ref = ScalarRng(seed)
     expected = [(ref.next_float() - 0.5) / dims for _ in range(size * dims)]
     assert emb.input_vectors.flatten().tolist() == expected
     assert rng.state == ref.state
