@@ -125,7 +125,7 @@ def test_pair_generation_matches_scalar_walk():
             assert np.array_equal(got[0], expected[0])
             assert np.array_equal(got[1], expected[1])
             assert cursor.rng.state == ref.state
-            if trial % 2:  # the Rng stepped outside the stream, as sgd_step does
+            if trial % 2:  # other reads take values from the same stream between fills
                 for _ in range(rnd.randrange(3)):
                     assert cursor.rng.next_u64() == ref.next_u64()
 

@@ -99,7 +99,8 @@ def test_below_one_consumes_nothing():
 
 def test_below_rejects_nonpositive():
     rng = Rng(4)
-    for bounds in ([0], [-3], np.array([-3])):  # an int64 -3 must not wrap to 2**64 - 3
+    # an int64 -3 must not wrap to 2**64 - 3
+    for bounds in ([0], [-3], np.array([-3]), np.array([3, 0], dtype=np.uint64)):
         with pytest.raises(ValueError):
             rng.below_each(bounds)
 
@@ -216,11 +217,6 @@ def test_block_and_scalar_draws_mixed_on_one_rng_match_scalar_draws():
                 got, expected = mixed.below_each([bound])[0], ref.below(bound)
             assert got == expected, (seed, kind, n)
             assert mixed.state == ref.state, (seed, kind, n)
-
-
-def test_block_stream_below_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        Rng(4).below_each(np.array([3, 0], dtype=np.uint64))
 
 
 def _scalar(state, n):

@@ -3,13 +3,13 @@
     python3 tools/bench_pairs.py --parent ../parent --change . --workload stress --seed 1 --pairs 10
 
 Each pair runs BENCHMARK.json's command (``python3 slicebench/run.py``) with
-``--workload W --seed S --seconds T --trace 0`` once in each checkout, one
-run at a time: the parent first in odd pairs, the change first in even ones.
-A run's result is the last line it prints. For every end-to-end metric of
-BENCHMARK.json the summary gives each side's median and quartiles, the pairs
-the change won (ties count for neither), and how much worse the change's
-median is than the parent's, against the metric's bound; past the bound it
-reads WORSE. It then lists every run that exited non-zero, reported
+``--workload W --seed S --seconds <run_seconds> --trace 0`` once in each
+checkout, one run at a time: the parent first in odd pairs, the change first
+in even ones. A run's result is the last line it prints. For every end-to-end
+metric of BENCHMARK.json the summary gives each side's median and quartiles,
+the pairs the change won (ties count for neither), and how much worse the
+change's median is than the parent's, against the metric's bound; past the
+bound it reads WORSE. It then lists every run that exited non-zero, reported
 "correct": false or counted failed operations, with its side, pair and seed;
 the medians leave those runs out. Neither checkout is edited.
 """
@@ -108,7 +108,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in checkouts.items():
@@ -117,8 +116,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     runs = run_pairs(checkouts, bench["command"], args.workload, args.seed, args.pairs,
-                     args.seconds)
-    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {args.seconds:g} s runs")
+                     bench["run_seconds"])
+    print(f"{args.workload} seed {args.seed}: {args.pairs} pairs of {bench['run_seconds']} s runs")
     print("\n".join(summarize(runs, bench["end_to_end"])))
     return 0
 
