@@ -24,36 +24,28 @@ def _draw_negatives_py(cdf, rng: Rng, excludes, n_neg):
     Each draw inverts the cumulative distribution: smallest i with u < cdf[i].
     Every u is below cdf[-1] == 1.0, so that predicate is monotone in i even
     where rounding lifts cdf[-2] above 1.0, and a right-sided binary search
-    finds it. Slots take draws in row order, and a rejected draw moves every
-    later slot one draw on; so the slots are checked against the draws once,
-    and again from each rejection onward. rng consumes exactly the draws
-    used, as one slot at a time would.
+    finds it. Slots take draws in row order, and a rejection moves every later
+    slot one draw on. A pass peeks one draw per open slot, a sixteenth and one
+    more, and fills the open slots from them, again from each rejection on,
+    while they reach the last open slot. rng consumes exactly the draws used,
+    as one slot at a time would.
     """
     excl = np.repeat(np.asarray(excludes, dtype=np.int64), n_neg)
-    slots = len(excl)
-    out = np.empty(slots, dtype=np.int64)
-    ahead = slots >> 4  # draws looked at past one per slot, for rejections
-    idx = np.searchsorted(cdf, to_floats(rng.peek(slots + ahead)), side="right")
-    at = shift = 0  # slots before at are filled; slot s >= at takes draw s + shift
-    while True:
-        hit = idx[at + shift : slots + shift] == excl[at:]
-        k = int(hit.argmax())
-        if not hit[k]:
-            break
-        out[at : at + k] = idx[at + shift : at + shift + k]
-        at += k
-        shift += 1
-        while True:  # the slot also rejects any excluded draws that follow
-            if len(idx) < slots + shift:
-                ahead = 2 * ahead + 1
-                idx = np.searchsorted(
-                    cdf, to_floats(rng.peek(slots + shift + ahead)), side="right"
-                )
-            if idx[at + shift] != excl[at]:
+    out = np.empty(len(excl), dtype=np.int64)
+    slots, at = len(excl), 0  # slots before at are final
+    while at < slots:
+        lag, n = at, slots - at  # slot s >= at takes idx[s - lag]
+        idx = np.searchsorted(cdf, to_floats(rng.peek(n + (n >> 4) + 1)), side="right")
+        while slots - lag <= len(idx):
+            out[at:] = idx[at - lag : slots - lag]
+            hit = out[at:] == excl[at:]
+            k = int(hit.argmax())
+            if not hit[k]:
+                at = slots
                 break
-            shift += 1
-    out[at:] = idx[at + shift : slots + shift]
-    rng.skip(slots + shift)
+            at += k
+            lag -= 1  # slot at rejected its draw
+        rng.skip(at - lag)
     return out.reshape(-1, n_neg)
 
 

@@ -224,7 +224,13 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 def _load_space(cfg: PipelineConfig) -> EmbeddingSpace:
     if not os.path.exists(cfg.embedding_path):
         raise DataError(f"missing embedding file: {cfg.embedding_path} (run train first)")
-    return load_embedding(cfg.embedding_path)
+    space = load_embedding(cfg.embedding_path)
+    with np.errstate(over="ignore"):  # 4 |v|^2 finite keeps |a - b|^2 of any two rows finite
+        big = np.flatnonzero(~np.isfinite(4 * np.vecdot(space.vectors, space.vectors)))
+    if len(big):
+        raise DataError(f"{cfg.embedding_path}: vector of {space.forms[big[0]]} "
+                        "is too large to measure")
+    return space
 
 
 def cmd_analyze(args, cfg: PipelineConfig) -> int:

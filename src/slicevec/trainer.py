@@ -25,6 +25,7 @@ from .rng import Rng
 from .slicer import EncodedCorpus, Vocabulary, write_lines
 
 NOISE_POWER = 0.75
+MAX_NOISE_SHARE = 1 - 2**-10  # above it, a negative that excludes the token averages > 1,024 draws
 _INIT_CHUNK = 1 << 12  # initial values drawn per block request
 
 
@@ -305,12 +306,16 @@ def train(
                          ("batch_size", config.batch_size * config.negative_samples * 4)):
         if nbytes > sys.maxsize:
             raise MemoryError(f"{name} {getattr(config, name)} asks for an array of {nbytes} bytes")
+    noise = NoiseDistribution.from_vocabulary(vocab)
+    top = int(noise.probs.argmax())
+    if noise.probs[top] > MAX_NOISE_SHARE:
+        raise ValueError(f"{vocab.form_of(top)} holds 1 - {1 - noise.probs[top]:.3g} of the noise "
+                         "mass: each negative that excludes it needs over 1,024 draws")
     rng = Rng(config.seed)
     emb = EmbeddingMatrix.initialize(vocab.size, config.dims, rng)
     if config.steps == 0:
         return emb, LossTrace([])
     cursor = BatchCursor.start(corpus, config, rng)
-    noise = NoiseDistribution.from_vocabulary(vocab)
     centers = np.empty(config.batch_size, np.int32)
     ctxs = np.empty(config.batch_size, np.int32)
     negs = np.empty((config.batch_size, config.negative_samples), np.int32)

@@ -448,6 +448,29 @@ def test_train_rejects_bad_inputs_in_one_line(capsys, corpus, vocab, flags, code
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+def test_a_vocabulary_whose_one_slice_holds_the_noise_mass_exits_2_in_one_line(capsys):
+    # 0.4.7 holds all but 1e-9 of the noise mass, so a negative that excludes it would
+    # take about 1e9 draws; train refuses it before the first batch, in bounded memory
+    with open("corpus.txt", "w") as fh:
+        fh.write(_CORPUS)
+    with open("vocab.txt", "w") as fh:
+        fh.write("SLICEVOCAB v1 2\n0 UNK 0\n1 0.4.7 1000000000000\n")
+    cap = 1 << 30
+    src = os.path.dirname(os.path.dirname(slicevec.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from slicevec.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "train", "--dims", "4", "--steps", "5",
+         "--batch-size", "4"],
+        env=env, capture_output=True, text=True, timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert result.returncode == 2
+    assert result.stderr.startswith("data error: 0.4.7 holds 1 - 1e-09 of the noise mass: ")
+    assert result.stderr.count("\n") == 1, result.stderr
+    assert sorted(os.listdir()) == ["corpus.txt", "vocab.txt"]  # outputs removed
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     """A directory holding a corpus with every tonic triad, its caches and an embedding."""
@@ -601,6 +624,52 @@ _ZERO_TONIC = _embedding({"UNK": (1.0, 0.0), "0.4.7": (0.0, 0.0), "2.7.11": (0.0
 _EQUAL_I_V = _embedding(
     {"UNK": (1.0, 0.0), "0.4.7": (0.0, 1.0), "2.7.11": (0.0, 1.0), "2.6.9": (1.0, 1.0)}
 )
+def _scale_embedding(src, dst, factor):
+    with open(src) as fh:
+        header, *rows = fh.read().splitlines()
+    scaled = [" ".join([form, *(repr(float(v) * factor) for v in values)])
+              for form, *values in (row.split() for row in rows)]
+    with open(dst, "w") as fh:
+        fh.write("\n".join([header, *scaled]) + "\n")
+
+
+_MEASURING = {
+    "chords": ["analyze", "chords", "--out", "out.csv"],
+    "keys": ["analyze", "keys", "--pieces-dir", "{run}/midi", "--out", "out.csv"],
+    "analogy": ["analyze", "analogy", "--out", "out.csv"],
+    "generate": ["generate", "--midi-in", "{run}/midi/C_major_00.mid", "--midi-out", "out.mid"],
+}
+
+
+@pytest.mark.parametrize("which", list(_MEASURING))
+def test_an_embedding_whose_squared_norms_overflow_exits_2_in_one_line(
+    capsys, trained_run, which
+):
+    # at 1e160 a squared norm overflows to inf, and every cosine turned into -1
+    _scale_embedding(f"{trained_run}/embedding.txt", "big.txt", 1e160)
+    argv = [arg.format(run=trained_run) for arg in _MEASURING[which]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        rc = main([*argv, "--corpus-cache", f"{trained_run}/corpus.txt",
+                   "--embedding-path", "big.txt"])
+    assert rc == 2
+    assert capsys.readouterr().err == "data error: big.txt: vector of UNK is too large to measure\n"
+    assert os.listdir() == ["big.txt"]
+
+
+def test_an_embedding_scaled_by_1e150_keeps_the_chord_and_analogy_bytes(capsys, trained_run):
+    _scale_embedding(f"{trained_run}/embedding.txt", "e150.txt", 1e150)
+    for which in ("chords", "analogy"):
+        outputs = []
+        for embedding in (f"{trained_run}/embedding.txt", "e150.txt"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([*_MEASURING[which], "--embedding-path", embedding]) == 0
+            with open("out.csv", "rb") as fh:
+                outputs.append(fh.read())
+        assert outputs[0] == outputs[1], which
+
+
 def test_analyze_chords_minor_quality(capsys):
     # C minor's i and v (0.3.7, 2.7.10) and A minor's i (0.4.9); A minor's v (4.7.11) is absent
     with open("embedding.txt", "w") as fh:

@@ -194,6 +194,25 @@ def test_batched_negatives_match_one_draw_at_a_time():
             assert rng.state == one.state == oracle.state
 
 
+def test_negative_draws_peek_at_most_the_open_slots_a_sixteenth_and_one_more(monkeypatch):
+    # token 0 holds 2**-12 of the mass, so a slot that excludes token 1 takes about
+    # 4,096 draws; every peek stays within 20 open slots + 20 // 16 + 1 = 22 draws
+    cdf = np.array([2.0**-12, 1.0])
+    requests, peek = [], Rng.peek
+
+    def recording_peek(self, n):
+        requests.append(n)
+        return peek(self, n)
+
+    monkeypatch.setattr(Rng, "peek", recording_peek)  # Rng has __slots__: patch the class
+    rng, oracle = Rng(29), ScalarRng(29)
+    got = _kernels._draw_negatives_py(cdf, rng, np.ones(4, np.int32), 5)
+    assert 0 < max(requests) <= 22
+    assert got.tolist() == [[_draw_by_linear_scan(cdf, oracle, 1) for _ in range(5)]
+                            for _ in range(4)]
+    assert rng.state == oracle.state
+
+
 def _tiny_training_setup():
     pieces = [np.array([1, 2, 3, 4, 5, 1, 2], np.int32), np.array([3, 1, 4, 5], np.int32)]
     corpus = EncodedCorpus.from_ids(pieces)

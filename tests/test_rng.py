@@ -236,7 +236,7 @@ def test_one_request_longer_than_two_blocks_matches_scalar_draws():
 
 
 def test_a_peek_grown_past_a_block_edge_keeps_the_buffered_values():
-    # as _kernels._draw_negatives_py re-peeks further after a rejection
+    # as _kernels._draw_negatives_py re-peeks from its first unconsumed draw
     rng = Rng(22)
     rng.skip(BLOCK - 10)
     start = rng.state

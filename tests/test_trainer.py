@@ -372,6 +372,18 @@ def test_train_validates_inputs():
         train(EncodedCorpus.from_ids([[0, 0]]), lone, TrainingConfig(dims=4, steps=1))
 
 
+def test_train_refuses_a_token_that_holds_nearly_all_the_noise_mass():
+    # UNK at count 0 (floored to 1) and 0.4.7 at count c: 0.4.7's noise share is
+    # c**0.75 / (c**0.75 + 1), and 10,307 is the largest count at or below 1 - 2**-10
+    corpus = EncodedCorpus.from_ids([[1, 0, 1], [0, 1]])
+    config = TrainingConfig(dims=4, window_c=2, num_skips_k=1, batch_size=4, steps=1)
+    kept = Vocabulary([(Slice((0, 4, 7)), 10_307)], unk_count=0)
+    train(corpus, kept, config)
+    refused = Vocabulary([(Slice((0, 4, 7)), 10_308)], unk_count=0)
+    with pytest.raises(ValueError, match=r"^0\.4\.7 holds 1 - 0\.000977 of the noise mass: "):
+        train(corpus, refused, config)
+
+
 def test_train_aborts_on_numerical_blowup():
     corpus, vocab = _small_corpus()
     config = TrainingConfig(

@@ -7,9 +7,9 @@ Each pair runs BENCHMARK.json's command (``python3 slicebench/run.py``) with
 checkout, one run at a time: the parent first in odd pairs, the change first
 in even ones. A run's result is the last line it prints. For every end-to-end
 metric of BENCHMARK.json the summary gives each side's median and quartiles,
-the pairs the change won (ties count for neither), and how much worse the
-change's median is than the parent's, against the metric's bound; past the
-bound it reads WORSE. It then lists every run that exited non-zero, reported
+the pairs the change won (ties count for neither), how much worse the
+change's median is than the parent's against the metric's bound, and one
+verdict (see verdict). It then lists every run that exited non-zero, reported
 "correct": false or counted failed operations, with its side, pair and seed;
 the medians leave those runs out. Neither checkout is edited.
 """
@@ -72,6 +72,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def verdict(worse: float, bound: float, wins: int, pairs: int, parent: tuple) -> str:
+    """WORSE past the bound; BETTER when the change won at least nine tenths of the
+    pairs and its median beats the parent's by more than the parent's quartile
+    spread; UNRESOLVED when that spread is wider than bound times the parent's
+    median; SAME otherwise. worse is relative to the parent's median."""
+    spread = (parent[2] - parent[0]) / parent[1]
+    if worse > bound:
+        return "WORSE"
+    if pairs and 10 * wins >= 9 * pairs and -worse > spread:
+        return "BETTER"
+    return "UNRESOLVED" if spread > bound else "SAME"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
     """One line per end-to-end metric, then one per failed run."""
     good = [run for run in runs if fault(run) is None]
@@ -92,8 +105,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
         worse = (change - parent if lower else parent - change) / parent
         cells = [f"{side} {q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for side, q in stats.items()]
         lines.append(f"{name} ({m['unit']}, {m['better']} is better): {'  '.join(cells)}  "
-                     f"wins {wins}/{len(both)}  worse by {worse:+.1%} (bound {m['bound']:.0%})"
-                     + ("  WORSE" if worse > m["bound"] else ""))
+                     f"wins {wins}/{len(both)}  worse by {worse:+.1%} (bound {m['bound']:.0%})  "
+                     + verdict(worse, m["bound"], wins, len(both), stats["parent"]))
     lines += [f"failed run: {run['side']} pair {run['pair']} seed {run['seed']}: {why}"
               for run in runs if (why := fault(run))] or ["failed runs: none"]
     return lines
