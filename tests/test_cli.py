@@ -624,6 +624,8 @@ _ZERO_TONIC = _embedding({"UNK": (1.0, 0.0), "0.4.7": (0.0, 0.0), "2.7.11": (0.0
 _EQUAL_I_V = _embedding(
     {"UNK": (1.0, 0.0), "0.4.7": (0.0, 1.0), "2.7.11": (0.0, 1.0), "2.6.9": (1.0, 1.0)}
 )
+
+
 def _scale_embedding(src, dst, factor):
     with open(src) as fh:
         header, *rows = fh.read().splitlines()
@@ -645,7 +647,7 @@ _MEASURING = {
 def test_an_embedding_whose_squared_norms_overflow_exits_2_in_one_line(
     capsys, trained_run, which
 ):
-    # at 1e160 a squared norm overflows to inf, and every cosine turned into -1
+    # at 1e160 every squared norm overflows to inf, which no cosine can be taken from
     _scale_embedding(f"{trained_run}/embedding.txt", "big.txt", 1e160)
     argv = [arg.format(run=trained_run) for arg in _MEASURING[which]]
     with warnings.catch_warnings():
