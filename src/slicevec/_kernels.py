@@ -27,8 +27,9 @@ def _draw_negatives_py(cdf, rng: Rng, excludes, n_neg):
     finds it. Slots take draws in row order, and a rejection moves every later
     slot one draw on. A pass peeks one draw per open slot, a sixteenth and one
     more, and fills the open slots from them, again from each rejection on,
-    while they reach the last open slot. rng consumes exactly the draws used,
-    as one slot at a time would.
+    while they reach the last open slot; a slot that rejects a draw checks
+    its next draws alone, while the window holds them, up to one it keeps.
+    rng consumes exactly the draws used, as one slot at a time would.
     """
     excl = np.repeat(np.asarray(excludes, dtype=np.int64), n_neg)
     out = np.empty(len(excl), dtype=np.int64)
@@ -45,6 +46,8 @@ def _draw_negatives_py(cdf, rng: Rng, excludes, n_neg):
                 break
             at += k
             lag -= 1  # slot at rejected its draw
+            while at - lag < len(idx) and idx[at - lag] == excl[at]:
+                lag -= 1  # and its next one: a run of rejections takes no full compare
         rng.skip(at - lag)
     return out.reshape(-1, n_neg)
 

@@ -21,10 +21,7 @@ from .slicer import N_MASKS, Slice, write_lines
 
 # circle-of-fifths order: successive entries are a perfect fifth apart
 CIRCLE_OF_FIFTHS = ("C", "G", "D", "A", "E", "B", "F#", "Db", "Ab", "Eb", "Bb", "F")
-PC_OF_NAME = {
-    "C": 0, "G": 7, "D": 2, "A": 9, "E": 4, "B": 11,
-    "F#": 6, "Db": 1, "Ab": 8, "Eb": 3, "Bb": 10, "F": 5,
-}
+PC_OF_NAME = {name: 7 * i % 12 for i, name in enumerate(CIRCLE_OF_FIFTHS)}
 
 MAJOR = "major"
 MINOR = "minor"
@@ -47,8 +44,7 @@ ROLE_TABLE = {
         "v": (7, MINOR),
     },
 }
-MAJOR_ROLES = ("I", "V", "IV", "vi", "IIIb", "IIb", "v")
-MINOR_ROLES = ("i", "v")
+MAJOR_ROLES, MINOR_ROLES = tuple(ROLE_TABLE[MAJOR]), tuple(ROLE_TABLE[MINOR])
 
 
 @dataclass(frozen=True)

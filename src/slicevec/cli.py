@@ -12,6 +12,7 @@ import glob
 import hashlib
 import os
 import sys
+import warnings
 from collections import deque
 from collections.abc import Iterator
 from dataclasses import fields
@@ -45,10 +46,6 @@ EXIT_NUMERIC = 3
 EXIT_MEMORY = 4
 
 
-class DataError(ValueError):
-    """Input files missing, unreadable, or inconsistent."""
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors; this pipeline uses 1."""
 
@@ -74,7 +71,7 @@ def build_parser() -> _Parser:
     sub.add_parser("ingest", parents=[common], help="slice a MIDI directory into caches")
 
     p_synth = sub.add_parser("synth", parents=[common], help="write a synthetic chord corpus")
-    p_synth.add_argument("--out-dir", default=None, help="output directory (default: corpus_dir)")
+    p_synth.add_argument("--out-dir", dest="corpus_dir", help="a spelling of --corpus-dir")
     p_synth.add_argument("--keys", default="all", help='"all" or comma-separated key names')
     p_synth.add_argument("--modes", default="major,minor", help="comma-separated modes")
     p_synth.add_argument("--pieces-per-key", type=int, default=4)
@@ -86,9 +83,8 @@ def build_parser() -> _Parser:
     p_an.add_argument("which", choices=("chords", "keys", "analogy"))
     p_an.add_argument("--out", default=None, help="output CSV (default: <which>.csv)")
     p_an.add_argument("--tonics", default="C,G,F", help="chords: comma-separated tonic roots")
-    p_an.add_argument("--quality", default=analysis.MAJOR, choices=(analysis.MAJOR, analysis.MINOR))
-    p_an.add_argument("--pieces-dir", default=None, help="keys: directory of key-named MIDI files")
-    p_an.add_argument("--mode", default=analysis.MAJOR, choices=(analysis.MAJOR, analysis.MINOR))
+    p_an.add_argument("--pieces-dir", dest="corpus_dir", help="a spelling of --corpus-dir")
+    p_an.add_argument("--mode", "--quality", default=analysis.MAJOR, choices=analysis.ROLE_TABLE)
     p_an.add_argument("--roles", default="I,V", help="analogy: comma-separated role pair")
 
     p_gen = sub.add_parser("generate", parents=[common], help="rewrite a piece by slice substitution")
@@ -102,7 +98,7 @@ def build_parser() -> _Parser:
 
 def _midi_paths(directory: str) -> list[str]:
     if not os.path.isdir(directory):
-        raise DataError(f"not a directory: {directory}")
+        raise ValueError(f"not a directory: {directory}")
     escaped = glob.escape(directory)  # a "[" or "*" in its name is no pattern
     return sorted(  # "*" skips dot-files; the suffix matches in any case
         path for path in glob.glob(os.path.join(escaped, "*"))
@@ -167,12 +163,12 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
         digests.append(digest)
         unclosed += notes_left
     if not pieces:
-        raise DataError(f"no parseable MIDI files in {cfg.corpus_dir}")
+        raise ValueError(f"no parseable MIDI files in {cfg.corpus_dir}")
     if unclosed:
         print(f"warning: {unclosed} unclosed notes were closed at end of track", file=sys.stderr)
     counts = np.bincount(np.concatenate(pieces), minlength=N_MASKS)
     if not counts.any():
-        raise DataError("corpus contains no beats; cannot build a vocabulary")
+        raise ValueError("corpus contains no beats; cannot build a vocabulary")
     vocab = build_vocabulary(counts, cfg.vocab_size)
     with _writing([cfg.corpus_cache, cfg.vocab_cache]):
         save_corpus(cfg.corpus_cache, pieces, digests)
@@ -185,25 +181,24 @@ def cmd_ingest(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_synth(args, cfg: PipelineConfig) -> int:
-    out_dir = args.out_dir or cfg.corpus_dir
     keys = list(analysis.CIRCLE_OF_FIFTHS) if args.keys == "all" else [
         k.strip() for k in args.keys.split(",") if k.strip()
     ]
     modes = [m.strip() for m in args.modes.split(",") if m.strip()]
     try:
         paths = synth.synth_corpus(
-            out_dir, keys, modes, args.pieces_per_key, args.bars, cfg.seed
+            cfg.corpus_dir, keys, modes, args.pieces_per_key, args.bars, cfg.seed
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    print(f"wrote {len(paths)} pieces to {out_dir}")
+    print(f"wrote {len(paths)} pieces to {cfg.corpus_dir}")
     return EXIT_OK
 
 
 def _load_caches(cfg: PipelineConfig):
     for path in (cfg.corpus_cache, cfg.vocab_cache):
         if not os.path.exists(path):
-            raise DataError(f"missing cache file: {path} (run ingest first)")
+            raise ValueError(f"missing cache file: {path} (run ingest first)")
     return load_corpus(cfg.corpus_cache), load_vocabulary(cfg.vocab_cache)
 
 
@@ -223,13 +218,13 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 def _load_space(cfg: PipelineConfig) -> EmbeddingSpace:
     if not os.path.exists(cfg.embedding_path):
-        raise DataError(f"missing embedding file: {cfg.embedding_path} (run train first)")
+        raise ValueError(f"missing embedding file: {cfg.embedding_path} (run train first)")
     space = load_embedding(cfg.embedding_path)
     with np.errstate(over="ignore"):  # 4 |v|^2 finite keeps |a - b|^2 of any two rows finite
         big = np.flatnonzero(~np.isfinite(4 * np.vecdot(space.vectors, space.vectors)))
     if len(big):
-        raise DataError(f"{cfg.embedding_path}: vector of {space.forms[big[0]]} "
-                        "is too large to measure")
+        raise ValueError(f"{cfg.embedding_path}: vector of {space.forms[big[0]]} "
+                         "is too large to measure")
     return space
 
 
@@ -251,14 +246,14 @@ def _analyze_chords(args, space: EmbeddingSpace, out: str) -> int:
     for name in tonics:
         if name not in analysis.PC_OF_NAME:
             raise ConfigError(f"unknown tonic {name!r}")
-    roles = analysis.MAJOR_ROLES if args.quality == analysis.MAJOR else analysis.MINOR_ROLES
+    roles = analysis.MAJOR_ROLES if args.mode == analysis.MAJOR else analysis.MINOR_ROLES
     lines = ["tonic," + ",".join(roles)]
     for name in tonics:
-        tonic = analysis.ChordSpec(analysis.PC_OF_NAME[name], args.quality)
+        tonic = analysis.ChordSpec(analysis.PC_OF_NAME[name], args.mode)
         try:
             profile = analysis.chord_distance_profile(space, tonic, roles)
         except KeyError as exc:
-            raise DataError(exc.args[0]) from None  # str() of a KeyError quotes it
+            raise ValueError(exc.args[0]) from None  # str() of a KeyError quotes it
         cells = []
         for role in roles:
             value = profile[role]
@@ -274,9 +269,8 @@ def _analyze_chords(args, space: EmbeddingSpace, out: str) -> int:
 
 
 def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) -> int:
-    pieces_dir = args.pieces_dir or cfg.corpus_dir
     root_of = {}  # only files named for the requested mode are opened
-    for path in _midi_paths(pieces_dir):
+    for path in _midi_paths(cfg.corpus_dir):
         try:
             root, mode = synth.parse_key_filename(path)
         except ValueError as exc:
@@ -285,14 +279,14 @@ def _analyze_keys(args, cfg: PipelineConfig, space: EmbeddingSpace, out: str) ->
         if mode == args.mode:
             root_of[path] = root
     if not root_of:
-        raise DataError(f"no {args.mode} pieces with key-labeled filenames in {pieces_dir}")
+        raise ValueError(f"no {args.mode} pieces with key-labeled filenames in {cfg.corpus_dir}")
     labeled = [
         (masks, root_of[path])
         for path, _, masks, _ in _parse_midi_files(list(root_of), cfg.corpus_cache)
     ]
     if not labeled:
-        raise DataError(
-            f"no {args.mode} piece with a key-labeled filename in {pieces_dir} parsed "
+        raise ValueError(
+            f"no {args.mode} piece with a key-labeled filename in {cfg.corpus_dir} parsed "
             f"({len(root_of)} skipped)"
         )
     matrix = analysis.key_similarity_matrix(space, labeled, args.mode)
@@ -322,7 +316,7 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
         with open(args.midi_in, "rb") as fh:
             piece = parse_midi(fh.read())
     except (MidiParseError, OSError) as exc:
-        raise DataError(f"{args.midi_in}: {exc}") from None
+        raise ValueError(f"{args.midi_in}: {exc}") from None
     slices = slices_from_piece(piece)
     _, diagnostics = generator.rewrite_piece(slices, space, cfg)
     data = generator.emit_midi(piece, diagnostics.substitute, diagnostics.original)
@@ -367,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     flag_values = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    formatwarning = warnings.formatwarning  # a library warning prints as one line
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         cfg = resolve_config(flag_values, args.config)
         print(cfg.dump())
@@ -383,6 +379,8 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # a setting that asks for more memory than there is
         print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_MEMORY
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -65,19 +65,18 @@ class Slice(int):
         return f"Slice(pitch_classes={self.pitch_classes})"
 
 
-def _mask_tables() -> tuple[tuple, tuple]:
+def _mask_tables() -> tuple[tuple, np.ndarray]:
     """Each mask's pitch classes and form; masks 2**pc.. are masks 0.. with pc added on top."""
     pcs, forms = [()], [REST_FORM]
     for pc in range(12):
         pcs += [p + (pc,) for p in pcs]
         forms += [str(pc)] + [f"{f}.{pc}" for f in forms[1:]]
-    return tuple(pcs), tuple(forms)
+    return tuple(pcs), np.array(forms, dtype=object)  # forms of a mask array: one gather
 
 
 PITCH_CLASSES, FORMS = _mask_tables()
 SLICES = tuple(map(int.__new__, repeat(Slice, N_MASKS), range(N_MASKS)))
 SLICE_OF_FORM = dict(zip(FORMS, SLICES))
-_FORM_OF_MASK = np.array(FORMS, dtype=object)  # forms of a mask array in one gather
 
 
 def make_slice(pitches: Iterable[int]) -> Slice:
@@ -298,7 +297,7 @@ def save_corpus(path: str, pieces: Sequence[Sequence[Slice]], digests: Sequence[
     lines = [f"{CORPUS_MAGIC} {CORPUS_VERSION if digests else FORMAT_VERSION} {len(pieces)}"]
     for i, piece in enumerate(pieces):
         lead = [digests[i]] if digests else []
-        lines.append(" ".join(lead + _FORM_OF_MASK[np.asarray(piece, dtype=np.intp)].tolist()))
+        lines.append(" ".join(lead + FORMS[np.asarray(piece, dtype=np.intp)].tolist()))
     write_lines(path, lines)
 
 

@@ -35,9 +35,11 @@ def test_summary_flags_a_median_past_its_bound_and_lists_failed_runs(monkeypatch
     lines = summarize(runs, metrics)
     # the medians leave out the three failed runs: parent 1.0 and change 1.25 s
     assert lines[0] == ("train_pairs_per_s (pairs/s, higher is better): parent 100 [100, 100]  "
-                        "change 100 [99.5, 100.5]  wins 1/2  worse by +0.0% (bound 24%)  SAME")
+                        "change 100 [99.5, 100.5]  wins 1/2  worse by +0.0% (bound 24%)  "
+                        "95% [-1.0%, +1.0%]  SAME")
     assert lines[1] == ("pipeline_s (s, lower is better): parent 1 [0.95, 1.05]  "
-                        "change 1.25 [1.225, 1.275]  wins 0/2  worse by +25.0% (bound 24%)  WORSE")
+                        "change 1.25 [1.225, 1.275]  wins 0/2  worse by +25.0% (bound 24%)  "
+                        "95% [+9.1%, +30.0%]  WORSE")
     assert lines[2:] == [
         "failed run: change pair 3 seed 1: correct: false",
         "failed run: change pair 4 seed 1: exit 1, no result line",
@@ -65,7 +67,36 @@ def test_summary_reads_better_past_the_parents_spread_and_unresolved_on_a_wide_p
             runs.append({"side": side, "pair": pair, "seed": 1, "exit": 0, "result": result_of(out)})
     lines = summarize(runs, metrics)
     assert lines[0] == ("train_pairs_per_s (pairs/s, higher is better): parent 100 [85, 122.5]  "
-                        "change 100 [100, 100]  wins 3/10  worse by +0.0% (bound 24%)  UNRESOLVED")
+                        "change 100 [100, 100]  wins 3/10  worse by +0.0% (bound 24%)  "
+                        "95% [-25.0%, +23.1%]  UNRESOLVED")
     assert lines[1] == ("pipeline_s (s, lower is better): parent 1 [0.9825, 1.0075]  "
-                        "change 0.9 [0.9, 0.9]  wins 9/10  worse by -10.0% (bound 24%)  BETTER")
+                        "change 0.9 [0.9, 0.9]  wins 9/10  worse by -10.0% (bound 24%)  "
+                        "95% [-10.9%, -8.2%]  BETTER")
     assert lines[2:] == ["failed runs: none"]
+
+
+def test_the_interval_excludes_0_where_every_pair_agrees_and_straddles_it_where_they_split(
+    monkeypatch,
+):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    from bench_pairs import interval, result_of, summarize
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [m for m in bench["end_to_end"] if m["name"] == "pipeline_s"]
+    lines = []
+    for change_s in ([0.90, 0.92, 0.95, 0.91, 0.93, 0.96, 0.89, 0.94],  # each pair faster
+                     [0.95, 1.04, 0.98, 1.03, 0.97, 1.02, 1.0, 0.99]):  # 4 faster, 3 slower
+        runs = []
+        for pair, seconds in enumerate(change_s, start=1):
+            for side, out in (("parent", _stdout(1.0, 100.0)), ("change", _stdout(seconds, 100.0))):
+                runs.append({"side": side, "pair": pair, "seed": 1, "exit": 0,
+                             "result": result_of(out)})
+        lines.append(summarize(runs, metrics)[0])
+    assert lines == [
+        "pipeline_s (s, lower is better): parent 1 [1, 1]  change 0.925 [0.9075, 0.9425]  "
+        "wins 8/8  worse by -7.5% (bound 24%)  95% [-10.0%, -5.0%]  BETTER",
+        "pipeline_s (s, lower is better): parent 1 [1, 1]  change 0.995 [0.9775, 1.0225]  "
+        "wins 4/8  worse by -0.5% (bound 24%)  95% [-3.0%, +3.0%]  SAME",
+    ]
+    assert interval([0.1]) == (0.1, 0.1)
+    assert interval([]) is None

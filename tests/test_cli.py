@@ -689,6 +689,48 @@ def test_analyze_chords_minor_quality(capsys):
     assert lines[2] == "A,0,"  # the tonic's own distance, then the empty v cell
 
 
+def test_mode_and_quality_are_one_setting_and_the_last_one_given_wins():
+    with open("embedding.txt", "w") as fh:
+        fh.write(_embedding({"UNK": (1.0, 0.0, 0.5), "0.3.7": (0.25, 2.0, -1.0),
+                             "2.7.10": (-3.0, 5.5, 0.125), "0.4.9": (1.5, 0.75, 2.0)}))
+    written = []
+    for flags in (["--quality", "minor"], ["--mode", "minor"],
+                  ["--quality", "major", "--mode", "minor"],
+                  ["--mode", "major", "--quality", "minor"]):
+        assert main(["analyze", "chords", *flags, "--tonics", "C,A"]) == 0
+        with open("chords.csv", "rb") as fh:
+            written.append(fh.read())
+    assert written[0].startswith(b"tonic,i,v\n")
+    assert written == written[:1] * 4
+
+
+def test_out_dir_and_pieces_dir_are_corpus_dir_and_the_last_one_given_wins(capsys, trained_run):
+    synth = ["synth", "--keys", "C", "--modes", "major", "--pieces-per-key", "1", "--bars", "2"]
+    for flags, used in ((["--out-dir", "x"], "x"), (["--out-dir", "a", "--corpus-dir", "b"], "b"),
+                        (["--corpus-dir", "c", "--out-dir", "d"], "d")):
+        assert main([*synth, *flags]) == 0
+        out = capsys.readouterr().out
+        assert f"\n  corpus_dir = {used}\n" in out
+        assert out.endswith(f"wrote 1 pieces to {used}\n")
+    assert sorted(os.listdir()) == ["b", "d", "x"]
+
+    os.mkdir("none")  # holds no MIDI file
+    keys = ["analyze", "keys", *[flag.format(run=trained_run) for flag in _CACHES]]
+    midi = f"{trained_run}/midi"
+    for flags, used in ((["--pieces-dir", midi], midi),
+                        (["--pieces-dir", "none", "--corpus-dir", midi], midi),
+                        (["--corpus-dir", "none", "--pieces-dir", midi], midi),
+                        (["--corpus-dir", midi, "--pieces-dir", "none"], "none")):
+        rc = main([*keys, *flags])
+        out, err = capsys.readouterr()
+        assert f"\n  corpus_dir = {used}\n" in out
+        if used == midi:
+            assert rc == 0 and out.endswith("wrote keys.csv from 12 pieces\n")
+        else:
+            assert rc == 2
+            assert err == "data error: no major pieces with key-labeled filenames in none\n"
+
+
 _C_MAJOR_CHORD = write_smf([(60, 0, 480, 0), (64, 0, 480, 0), (67, 0, 480, 0)], 480)
 # PPQ 0x7FFF; the note-on lies two MAX_VARLEN deltas (around a text event) in,
 # a silence that the rewritten file splits the same way

@@ -213,6 +213,27 @@ def test_negative_draws_peek_at_most_the_open_slots_a_sixteenth_and_one_more(mon
     assert rng.state == oracle.state
 
 
+def test_a_run_of_rejections_reads_the_whole_window_before_the_next_peek(monkeypatch):
+    # the 20 slots of seed 5 reject 82,864 draws in all; settling at most a sixteenth
+    # of the open slots and one more rejections a pass took 38,490 peeks, where a
+    # slot's run of rejections now reads on to the end of the window
+    cdf = np.array([2.0**-12, 1.0])
+    requests, peek = [], Rng.peek
+
+    def recording_peek(self, n):
+        requests.append(n)
+        return peek(self, n)
+
+    monkeypatch.setattr(Rng, "peek", recording_peek)
+    rng, oracle = Rng(5), ScalarRng(5)
+    got = _kernels._draw_negatives_py(cdf, rng, np.ones(4, np.int32), 5)
+    assert len(requests) < 10_000
+    assert max(requests) <= 22
+    assert got.tolist() == [[_draw_by_linear_scan(cdf, oracle, 1) for _ in range(5)]
+                            for _ in range(4)]
+    assert rng.state == oracle.state
+
+
 def _tiny_training_setup():
     pieces = [np.array([1, 2, 3, 4, 5, 1, 2], np.int32), np.array([3, 1, 4, 5], np.int32)]
     corpus = EncodedCorpus.from_ids(pieces)

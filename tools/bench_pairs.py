@@ -8,7 +8,8 @@ checkout, one run at a time: the parent first in odd pairs, the change first
 in even ones. A run's result is the last line it prints. For every end-to-end
 metric of BENCHMARK.json the summary gives each side's median and quartiles,
 the pairs the change won (ties count for neither), how much worse the
-change's median is than the parent's against the metric's bound, and one
+change's median is than the parent's against the metric's bound, a 95%
+bootstrap interval of the median per-pair difference (see interval), and one
 verdict (see verdict). It then lists every run that exited non-zero, reported
 "correct": false or counted failed operations, with its side, pair and seed;
 the medians leave those runs out. Neither checkout is edited.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import statistics
 import subprocess
 import sys
@@ -72,6 +74,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def interval(diffs: list[float]) -> tuple[float, float] | None:
+    """2.5th and 97.5th percentiles of the median of diffs over 2,000 resamples, each
+    len(diffs) draws with replacement (random.Random(0)); None without diffs."""
+    if not diffs:
+        return None
+    rnd = random.Random(0)
+    medians = [statistics.median(rnd.choices(diffs, k=len(diffs))) for _ in range(2000)]
+    cuts = statistics.quantiles(medians, n=40, method="inclusive")
+    return cuts[0], cuts[-1]
+
+
 def verdict(worse: float, bound: float, wins: int, pairs: int, parent: tuple) -> str:
     """WORSE past the bound; BETTER when the change won at least nine tenths of the
     pairs and its median beats the parent's by more than the parent's quartile
@@ -103,9 +116,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> list[str]:
                    and value["change"][p] != value["parent"][p] for p in both)
         parent, change = stats["parent"][1], stats["change"][1]
         worse = (change - parent if lower else parent - change) / parent
+        sign = 1 if lower else -1  # each pair's difference, signed like worse
+        ci = interval([sign * (value["change"][p] - value["parent"][p]) / value["parent"][p]
+                       for p in sorted(both)])
         cells = [f"{side} {q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]" for side, q in stats.items()]
         lines.append(f"{name} ({m['unit']}, {m['better']} is better): {'  '.join(cells)}  "
                      f"wins {wins}/{len(both)}  worse by {worse:+.1%} (bound {m['bound']:.0%})  "
+                     + (f"95% [{ci[0]:+.1%}, {ci[1]:+.1%}]  " if ci else "95% [no pairs]  ")
                      + verdict(worse, m["bound"], wins, len(both), stats["parent"]))
     lines += [f"failed run: {run['side']} pair {run['pair']} seed {run['seed']}: {why}"
               for run in runs if (why := fault(run))] or ["failed runs: none"]
