@@ -183,9 +183,9 @@ def analogy_angle_matrix(
     """Angles between a role-pair's difference vectors across key pairs.
 
     Entry (i, j) is the angle in degrees between (vec(role2) - vec(role1))
-    realized in key_i and the same difference realized in key_j. Keys whose
-    realized chords are missing from the vocabulary (or coincide, leaving a
-    zero difference) produce NaN entries, flagged by a warning.
+    realized in key_i and the same difference realized in key_j. A key whose
+    chord is missing from the vocabulary, or whose one chord takes both roles,
+    gives NaN entries and a warning; distinct chords with equal vectors raise.
     """
     rows = space.row_of[
         [[realize_role(role, PC_OF_NAME[name], mode).to_slice() for role in role_pair]

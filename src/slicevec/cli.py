@@ -220,11 +220,13 @@ def _load_space(cfg: PipelineConfig) -> EmbeddingSpace:
     if not os.path.exists(cfg.embedding_path):
         raise ValueError(f"missing embedding file: {cfg.embedding_path} (run train first)")
     space = load_embedding(cfg.embedding_path)
-    with np.errstate(over="ignore"):  # 4 |v|^2 finite keeps |a - b|^2 of any two rows finite
-        big = np.flatnonzero(~np.isfinite(4 * np.vecdot(space.vectors, space.vectors)))
-    if len(big):
-        raise ValueError(f"{cfg.embedding_path}: vector of {space.forms[big[0]]} "
-                         "is too large to measure")
+    with np.errstate(over="ignore", under="ignore"):  # 4 |v|^2 finite keeps |a - b|^2 finite
+        squares = 4 * np.vecdot(space.vectors, space.vectors)
+    tiny = (squares == 0) & space.vectors.any(axis=1)  # not zero, yet its |v|^2 underflows
+    for refused, size in ((~np.isfinite(squares), "large"), (tiny, "small")):
+        if refused.any():
+            raise ValueError(f"{cfg.embedding_path}: vector of {space.forms[refused.argmax()]} "
+                             f"is too {size} to measure")
     return space
 
 
@@ -333,8 +335,9 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
 
 def cmd_stats(args, cfg: PipelineConfig) -> int:
     pieces, vocab = _load_caches(cfg)
-    total = sum(len(p) for p in pieces)
-    unk = vocab.count_of(vocab.unk_id)
+    corpus = encode_corpus(pieces, vocab)
+    total = corpus.total_tokens
+    unk = sum(np.count_nonzero(p == vocab.unk_id) for p in corpus.pieces)
     print(f"pieces: {len(pieces)}")
     print(f"total slices: {total}")
     print(f"vocabulary size: {vocab.size}")

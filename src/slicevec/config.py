@@ -1,9 +1,7 @@
 """Pipeline configuration: defaults, config file, command-line precedence.
 
 Config files are flat ``key = value`` lines with ``#`` comments. Values on
-the command line beat the file, which beats the documented default. The
-environment variable ``SLICEVEC_CONFIG`` names a config file to load when
-``--config`` is not given.
+the command line beat the file, which beats the documented default.
 """
 
 from __future__ import annotations
@@ -14,8 +12,6 @@ from typing import Sequence
 
 from .generator import GeneratorConfig
 from .trainer import TrainingConfig
-
-ENV_CONFIG = "SLICEVEC_CONFIG"
 
 
 class ConfigError(ValueError):
@@ -99,11 +95,8 @@ def resolve_config(
 ) -> PipelineConfig:
     """Merge flag > file > default into a validated PipelineConfig.
 
-    flag_values holds command-line values keyed by field name, with None
-    meaning "not given". config_path None falls back to SLICEVEC_CONFIG.
+    flag_values holds command-line values keyed by field name, None meaning "not given".
     """
-    if config_path is None:
-        config_path = os.environ.get(ENV_CONFIG) or None
     file_values: dict[str, str] = {}
     if config_path is not None:
         if not os.path.exists(config_path):
@@ -123,7 +116,5 @@ def resolve_config(
             raise ConfigError(f"bad value for {key}: {raw!r}") from None
     for key, value in flag_values.items():
         if value is not None:
-            if key not in field_types:
-                raise ConfigError(f"unknown config field {key!r}")
             merged[key] = value
     return PipelineConfig(**merged)

@@ -72,9 +72,7 @@ def key_filename(root_name: str, mode: str, index: int) -> str:
 
 def parse_key_filename(name: str) -> tuple[int, str]:
     """(key root pitch class, mode) recovered from a synth filename."""
-    base = os.path.basename(name)
-    stem = base[:-4] if base.endswith(".mid") else base
-    parts = stem.split("_")
+    parts = os.path.basename(name).split("_")  # the index field, with its suffix, is not read
     if len(parts) != 3 or parts[1] not in (MAJOR, MINOR):
         raise ValueError(f"{name}: not a synth corpus filename")
     root_name = parts[0].replace("s", "#")
@@ -219,6 +217,9 @@ def synth_corpus(
     for mode in modes:
         if mode not in (MAJOR, MINOR):
             raise ValueError(f"unknown mode {mode!r}")
+    for kind, names in (("key", keys), ("mode", modes)):
+        if len(set(names)) < len(names):  # a repeat would overwrite its first file
+            raise ValueError(f"{kind} list {','.join(names)} names a {kind} twice")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for key in keys:

@@ -48,7 +48,6 @@ def run_dir(tmp_path_factory):
 
 @pytest.fixture(autouse=True)
 def _isolated(tmp_path, monkeypatch):
-    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
     monkeypatch.chdir(tmp_path)
 
 
@@ -135,6 +134,29 @@ def test_a_directory_name_is_no_glob_pattern(run_dir):
     assert main(["ingest", "--corpus-dir", "corp[a]", "--vocab-size", "60"]) == 0
     for cache in ("corpus.txt", "vocab.txt"):
         assert open(cache, "rb").read() == open(run_dir / cache, "rb").read()
+
+
+def test_a_key_labeled_name_reads_in_every_listed_suffix(run_dir, monkeypatch, capsys):
+    """.MID and .midi files are listed as MIDI and read for their key like .mid files."""
+    roots = []
+    real = analysis.key_similarity_matrix
+
+    def recording(space, labeled, mode):
+        roots.append([root for _, root in labeled])
+        return real(space, labeled, mode)
+
+    monkeypatch.setattr(analysis, "key_similarity_matrix", recording)
+    for directory, names in [("plain", ["C_major_00.mid", "G_major_00.mid"]),
+                             ("suffixed", ["C_major_00.MID", "G_major_00.midi"])]:
+        os.mkdir(directory)
+        for source, name in zip(["C_major_00.mid", "G_major_00.mid"], names):
+            shutil.copy(run_dir / "midi" / source, os.path.join(directory, name))
+    capsys.readouterr()
+    rc, suffixed = _keys(run_dir, "major", f"{run_dir}/absent.txt", "suffixed", "suffixed.csv")
+    assert rc == 0
+    assert "wrote suffixed.csv from 2 pieces" in capsys.readouterr().out
+    assert roots == [[0, 7]]  # C major, then G major
+    assert suffixed == _keys(run_dir, "major", f"{run_dir}/absent.txt", "plain", "plain.csv")[1]
 
 
 def test_a_file_that_fails_to_parse_is_still_skipped(run_dir, parsed, capsys):

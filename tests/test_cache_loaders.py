@@ -106,7 +106,6 @@ _LOADED_BY = {
 def test_a_noncanonical_form_exits_2_in_one_line(tmp_path, monkeypatch, capsys, name, spelling):
     """int() reads each spelling as 0.5.9, but only the canonical form names a slice."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
     _save_corpus("corpus.txt")
     _save_vocab("vocab.txt")
     save, load, _ = CACHES[name]
@@ -140,7 +139,6 @@ def test_an_integer_spelled_other_than_canonical_exits_2_in_one_line(
 ):
     """int() reads "+5", "05" and "0_5" as 5, but only "5" is read."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
     _save_corpus("corpus.txt")
     _save_vocab("vocab.txt")
     name, text, value = _INTEGER_FIELDS[field]
@@ -162,7 +160,6 @@ def test_an_integer_spelled_other_than_canonical_exits_2_in_one_line(
 def test_a_header_counting_more_values_than_memory_holds_exits_2(tmp_path, monkeypatch, capsys):
     """Nothing is allocated from the header's counts: the row's field count refuses it."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
     with open("embedding.txt", "w") as fh:
         fh.write("SLICEVEC v1 1 10000000000\nUNK 1.0\n")
     assert main(["analyze", "chords"]) == 2
@@ -217,7 +214,6 @@ def test_every_replaced_byte_loads_or_names_its_cache(tmp_path, monkeypatch, cap
     byte: the loader succeeds or refuses with the path first, and the command that loads
     the cache exits 0 or 2 with at most one stderr line."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
     # one parser for the whole loop: building it is most of a command's time here
     monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))
     _save_corpus("corpus.txt")
@@ -249,7 +245,6 @@ def test_a_vocabulary_count_past_int64_exits_2_in_one_line(tmp_path, monkeypatch
     """The trainer reads the counts as int64: 2^63 - 1 loads, 2^63 is refused. UNK's
     count matches, so that neither token crowds the other out of the noise draws."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
     _save_corpus("corpus.txt")
     text = f"SLICEVOCAB v1 2\n0 UNK {2**63 - 1}\n1 0.4.7 {{}}\n"
     with open("vocab.txt", "w") as fh:

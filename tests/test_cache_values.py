@@ -134,7 +134,7 @@ def test_a_piece_of_2_tokens_trains(tmp_path):
 
 @pytest.mark.parametrize(
     "value, error",
-    [(1e-300, "cosine is undefined for a zero vector"),  # each square underflows to 0
+    [(1e-300, "embedding.txt: vector of UNK is too small to measure"),  # each square is 0
      (1e300, "embedding.txt: vector of UNK is too large to measure"),
      (sys.float_info.max, "embedding.txt: vector of UNK is too large to measure")],
     ids=["1e-300", "1e300", "largest"],

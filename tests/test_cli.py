@@ -32,7 +32,6 @@ from slicevec.trainer import NumericalAbortError
 
 @pytest.fixture(autouse=True)
 def _isolated(tmp_path, monkeypatch):
-    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 
@@ -126,6 +125,33 @@ def test_command_level_config_errors_exit_1(capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["synth", "--keys", "", "--out-dir", "m"]) == 1
     capsys.readouterr()
+    # a key or mode given twice would write one file twice and count it twice
+    assert main(["synth", "--keys", "C,G,C", "--out-dir", "m"]) == 1
+    assert capsys.readouterr().err == "config error: key list C,G,C names a key twice\n"
+    assert main(["synth", "--keys", "C", "--modes", "major,major", "--out-dir", "m"]) == 1
+    assert capsys.readouterr().err == "config error: mode list major,major names a mode twice\n"
+    assert not os.path.exists("m")
+
+
+def test_stats_counts_unk_in_the_corpus(capsys):
+    """vocab.txt's UNK count is of the corpus ingest read; stats reads the corpus it loads."""
+    big = 2**63 - 1
+    with open("corpus.txt", "w") as fh:
+        fh.write("SLICECORPUS v1 2\n0.4.7 2.7.11 0.4.7\n2.7.11 0.4.7\n")
+    for vocab, unk in [(f"3\n0 UNK {big}\n1 0.4.7 {big}\n2 2.7.11 {big}\n", "0 (0.00%"),
+                       (f"2\n0 UNK {big}\n1 0.4.7 {big}\n", "2 (40.00%")]:
+        with open("vocab.txt", "w") as fh:
+            fh.write("SLICEVOCAB v1 " + vocab)
+        assert main(["stats"]) == 0
+        assert f"\nUNK occurrences: {unk} of tokens)\n" in capsys.readouterr().out
+    # where ingest wrote both caches, the corpus count is the one ingest folded
+    main(["synth", "--out-dir", "midi", "--keys", "all", "--modes", "major",
+          "--pieces-per-key", "1", "--bars", "4"])
+    assert main(["ingest", "--corpus-dir", "midi", "--vocab-size", "20"]) == 0
+    folded = capsys.readouterr().out.split("occurrences folded into UNK: ")[1].split("\n")[0]
+    assert int(folded) > 0
+    assert main(["stats"]) == 0
+    assert f"\nUNK occurrences: {folded} (" in capsys.readouterr().out
 
 
 def test_data_errors_exit_2(capsys):

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from slicevec.cli import main
 from slicevec.config import (
     ConfigError,
     PipelineConfig,
@@ -96,17 +97,15 @@ def test_resolve_precedence(tmp_path):
     assert cfg.exclude_identity is False  # bool parsed from file
 
 
-def test_resolve_uses_env_when_no_path(tmp_path, monkeypatch):
+def test_a_config_file_is_read_only_when_config_names_it(tmp_path, monkeypatch, capsys):
+    """A set SLICEVEC_CONFIG names no file: only --config does."""
     path = tmp_path / "env.cfg"
-    path.write_text("seed = 44\n")
+    path.write_text("seed = 5\n")
     monkeypatch.setenv("SLICEVEC_CONFIG", str(path))
-    assert resolve_config({}, None).seed == 44
-    # an explicit path wins over the environment
-    other = tmp_path / "other.cfg"
-    other.write_text("seed = 55\n")
-    assert resolve_config({}, str(other)).seed == 55
-    monkeypatch.delenv("SLICEVEC_CONFIG")
+    monkeypatch.chdir(tmp_path)
     assert resolve_config({}, None).seed == 1
+    assert main(["stats"]) == 2  # no caches here, but the configuration prints first
+    assert "\n  seed = 1\n" in capsys.readouterr().out
 
 
 def test_resolve_error_cases(tmp_path):

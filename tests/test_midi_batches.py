@@ -94,7 +94,6 @@ def test_chunk_boundaries_change_no_piece(monkeypatch, chunk_bytes):
 @pytest.mark.parametrize("chunk_bytes", [1, midi._CHUNK_BYTES])
 def test_ingest_skips_a_bad_file_between_good_ones(tmp_path, monkeypatch, capsys, chunk_bytes):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
     monkeypatch.setattr(midi, "_CHUNK_BYTES", chunk_bytes)
     assert main(["synth", "--out-dir", "good", "--keys", "C,G", "--modes", "major",
                  "--pieces-per-key", "2", "--bars", "4"]) == 0

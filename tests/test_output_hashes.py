@@ -13,7 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_output_hashes_prints_one_line_per_output(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "slicebench"))
     monkeypatch.syspath_prepend(str(ROOT / "tools"))
-    monkeypatch.delenv("SLICEVEC_CONFIG", raising=False)
     monkeypatch.chdir(tmp_path)
     from output_hashes import commands, output_hashes
     from workloads import CORPUS_DIR, WORKLOADS, output_files

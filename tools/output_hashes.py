@@ -80,7 +80,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    os.environ.pop("SLICEVEC_CONFIG", None)  # a config file would change every output
     print("\n".join(output_hashes(WORKLOADS[args.workload], args.seed)))
     return 0
 
